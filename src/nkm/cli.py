@@ -23,12 +23,12 @@ from . import schema
 from .analysis import (export_latents, feature_importance, verify_bound,
                        verify_descent, write_latents_csv)
 from .config import (COMMAND_DEFAULTS, ConfigError, arch_from_config,
-                     build_config, load_config_file, loss_from_config,
-                     optim_from_config, parse_override,
+                     build_config, edmd_from_config, load_config_file,
+                     loss_from_config, optim_from_config, parse_override,
                      write_effective_config)
 from .data import (Preprocessor, Windows, build_windows, load_visits_csv,
                    materialize_fold, train_val_split, write_visits_csv)
-from .edmd import EdmdConfig, EdmdModel
+from .edmd import EdmdModel
 from .model import AblationFlags, NkmModel, load_checkpoint, save_checkpoint
 from .synthetic import SyntheticConfig, generate_synthetic
 from .training import (CvResult, evaluate, run_ablation, run_cv, run_edmd_cv,
@@ -101,6 +101,52 @@ def _load_table(cfg: dict):
     return table, sidecar
 
 
+def _fit_nkm(cfg: dict, table, test_subjects: list[str]):
+    """(fold, TrainResult): split off test_subjects, fit preprocessing on the
+    train split, and train one model on the remaining subjects."""
+    fold = materialize_fold(table, test_subjects, seed=cfg["seed"],
+                            w=cfg["data.window"],
+                            val_frac=cfg["train.val_frac"])
+    model = NkmModel(arch_from_config(cfg), seed=cfg["seed"],
+                     ablation=AblationFlags.from_name(cfg["model.ablation"]))
+    result = train(model, fold.train, fold.val, optim_from_config(cfg),
+                   loss_from_config(cfg), mode=cfg["train.mode"],
+                   seed=cfg["seed"])
+    return fold, result
+
+
+def _held_out_subjects(cfg: dict, table) -> list[str]:
+    _, held_out = train_val_split(table.unique_subjects(),
+                                  cfg["train.val_frac"], cfg["seed"])
+    return held_out
+
+
+def _load_nkm(cfg: dict, prefix: str):
+    """(model, manifest, windows): the checkpoint at `<prefix>.model` and the
+    data table windowed through the preprocessor at `<prefix>.preprocessor`."""
+    if not cfg[f"{prefix}.model"]:
+        raise ValueError(f"{prefix}.model must point to a checkpoint stem")
+    if not cfg[f"{prefix}.preprocessor"]:
+        raise ValueError(
+            f"{prefix}.preprocessor must point to a preprocessor .npz")
+    pre_path = Path(cfg[f"{prefix}.preprocessor"])
+    if not pre_path.exists():
+        raise FileNotFoundError(f"preprocessor file not found: {pre_path}")
+    model, manifest = load_checkpoint(cfg[f"{prefix}.model"])
+    pre = Preprocessor.load(pre_path)
+    table, _ = _load_table(cfg)
+    prepped = table.with_features(pre.transform(table.X))
+    return model, manifest, build_windows(prepped, w=cfg["data.window"])
+
+
+def _cv_kwargs(cfg: dict) -> dict:
+    """run_cv arguments shared by the cv and ablate commands."""
+    return {"arch": arch_from_config(cfg), "optim_cfg": optim_from_config(cfg),
+            "loss_cfg": loss_from_config(cfg), "k": cfg["cv.k"],
+            "seed": cfg["seed"], "mode": cfg["train.mode"],
+            "w": cfg["data.window"], "val_frac": cfg["train.val_frac"]}
+
+
 def _cv_summary(res: CvResult) -> dict:
     per_target = {}
     for t in schema.TARGET_COLUMNS:
@@ -152,22 +198,11 @@ def _cmd_synth(cfg: dict, out_dir: Path) -> None:
 
 def _cmd_train(cfg: dict, out_dir: Path) -> None:
     table, _ = _load_table(cfg)
-    train_subjects, val_subjects = train_val_split(
-        table.unique_subjects(), cfg["train.val_frac"], cfg["seed"])
-    pre = Preprocessor().fit(table.subset_subjects(train_subjects).X)
-    prepped = table.with_features(pre.transform(table.X))
-    tr = build_windows(prepped.subset_subjects(train_subjects),
-                       w=cfg["data.window"])
-    va = build_windows(prepped.subset_subjects(val_subjects),
-                       w=cfg["data.window"])
-    model = NkmModel(arch_from_config(cfg), seed=cfg["seed"],
-                     ablation=AblationFlags.from_name(cfg["model.ablation"]))
-    result = train(model, tr, va, optim_from_config(cfg),
-                   loss_from_config(cfg), mode=cfg["train.mode"],
-                   seed=cfg["seed"])
-    save_checkpoint(model, str(out_dir / "model"), history=result.history)
-    pre.save(out_dir / "preprocessor.npz")
-    metrics = evaluate(model, va)
+    fold, result = _fit_nkm(cfg, table, [])
+    save_checkpoint(result.model, str(out_dir / "model"),
+                    history=result.history)
+    fold.preprocessor.save(out_dir / "preprocessor.npz")
+    metrics = evaluate(result.model, fold.val)
     _write_metrics_csv(out_dir / "metrics.csv",
                        metrics.rows(cfg["model.ablation"]))
     _write_report(out_dir, {"train": result.report(),
@@ -177,18 +212,7 @@ def _cmd_train(cfg: dict, out_dir: Path) -> None:
 
 
 def _cmd_eval(cfg: dict, out_dir: Path) -> None:
-    if not cfg["eval.model"]:
-        raise ValueError("eval.model must point to a checkpoint stem")
-    if not cfg["eval.preprocessor"]:
-        raise ValueError("eval.preprocessor must point to a preprocessor .npz")
-    pre_path = Path(cfg["eval.preprocessor"])
-    if not pre_path.exists():
-        raise FileNotFoundError(f"preprocessor file not found: {pre_path}")
-    model, manifest = load_checkpoint(cfg["eval.model"])
-    pre = Preprocessor.load(pre_path)
-    table, _ = _load_table(cfg)
-    prepped = table.with_features(pre.transform(table.X))
-    windows = build_windows(prepped, w=cfg["data.window"])
+    model, manifest, windows = _load_nkm(cfg, "eval")
     metrics = evaluate(model, windows)
     flags = manifest.get("ablation") or {}
     setup = next((k for k, v in flags.items() if v), "full")
@@ -201,13 +225,9 @@ def _cmd_eval(cfg: dict, out_dir: Path) -> None:
 
 def _cmd_cv(cfg: dict, out_dir: Path) -> None:
     table, _ = _load_table(cfg)
-    res = run_cv(table, arch=arch_from_config(cfg),
-                 optim_cfg=optim_from_config(cfg),
-                 loss_cfg=loss_from_config(cfg), k=cfg["cv.k"],
-                 seed=cfg["seed"], mode=cfg["train.mode"],
-                 ablation=AblationFlags.from_name(cfg["model.ablation"]),
-                 setup_name=cfg["model.ablation"], w=cfg["data.window"],
-                 val_frac=cfg["train.val_frac"])
+    name = cfg["model.ablation"]
+    res = run_cv(table, ablation=AblationFlags.from_name(name),
+                 setup_name=name, **_cv_kwargs(cfg))
     _write_metrics_csv(out_dir / "metrics.csv", res.rows())
     summary = _cv_summary(res)
     _write_report(out_dir, summary)
@@ -217,10 +237,7 @@ def _cmd_cv(cfg: dict, out_dir: Path) -> None:
 def _cmd_ablate(cfg: dict, out_dir: Path) -> None:
     table, _ = _load_table(cfg)
     results = run_ablation(table, setups=list(cfg["ablate.setups"]),
-                           arch=arch_from_config(cfg),
-                           optim_cfg=optim_from_config(cfg),
-                           loss_cfg=loss_from_config(cfg), k=cfg["cv.k"],
-                           seed=cfg["seed"], mode=cfg["train.mode"])
+                           **_cv_kwargs(cfg))
     rows = [r for res in results for r in res.rows()]
     _write_metrics_csv(out_dir / "metrics.csv", rows)
     summaries = {res.setup: _cv_summary(res) for res in results}
@@ -239,14 +256,9 @@ def _cmd_ablate(cfg: dict, out_dir: Path) -> None:
 
 def _cmd_edmd(cfg: dict, out_dir: Path) -> None:
     table, _ = _load_table(cfg)
-    edmd_cfg = EdmdConfig(n_centers=cfg["edmd.n_centers"],
-                          include_identity=cfg["edmd.include_identity"],
-                          include_constant=cfg["edmd.include_constant"],
-                          alpha=cfg["edmd.alpha"],
-                          readout_alpha=cfg["edmd.readout_alpha"],
-                          seed=cfg["seed"])
-    res = run_edmd_cv(table, edmd_cfg, k=cfg["cv.k"], seed=cfg["seed"],
-                      w=cfg["data.window"], val_frac=cfg["train.val_frac"])
+    res = run_edmd_cv(table, edmd_from_config(cfg), k=cfg["cv.k"],
+                      seed=cfg["seed"], w=cfg["data.window"],
+                      val_frac=cfg["train.val_frac"])
     _write_metrics_csv(out_dir / "metrics.csv", res.rows())
     summary = _cv_summary(res)
     _write_report(out_dir, summary)
@@ -259,28 +271,16 @@ def _cmd_verify_bound(cfg: dict, out_dir: Path) -> None:
     if cfg["bound.source"] == "edmd":
         # raw-table fit: standardization is a similarity transform that can
         # push the recovered operator norm past 1 on purely linear cohorts
-        edmd_cfg = EdmdConfig(n_centers=cfg["edmd.n_centers"],
-                              include_identity=cfg["edmd.include_identity"],
-                              include_constant=cfg["edmd.include_constant"],
-                              alpha=cfg["edmd.alpha"],
-                              readout_alpha=cfg["edmd.readout_alpha"],
-                              seed=cfg["seed"])
-        model = EdmdModel(edmd_cfg).fit(table)
+        model = EdmdModel(edmd_from_config(cfg)).fit(table)
         report = verify_bound(model, table, tau_max=tau_max)
         meta = {"source": "edmd"}
     elif cfg["bound.source"] == "nkm":
-        _, held_out = train_val_split(table.unique_subjects(),
-                                      cfg["train.val_frac"], cfg["seed"])
-        fold = materialize_fold(table, held_out, seed=cfg["seed"],
-                                w=cfg["data.window"],
-                                val_frac=cfg["train.val_frac"])
-        model = NkmModel(arch_from_config(cfg), seed=cfg["seed"])
-        train(model, fold.train, fold.val, optim_from_config(cfg),
-              loss_from_config(cfg), mode=cfg["train.mode"], seed=cfg["seed"])
+        held_out = _held_out_subjects(cfg, table)
+        fold, result = _fit_nkm(cfg, table, held_out)
         test_table = table.subset_subjects(fold.test_subjects)
         test_table = test_table.with_features(
             fold.preprocessor.transform(test_table.X))
-        report = verify_bound(model, test_table, tau_max=tau_max)
+        report = verify_bound(result.model, test_table, tau_max=tau_max)
         meta = {"source": "nkm", "held_out_subjects": len(held_out)}
     else:
         raise ValueError("bound.source must be 'nkm' or 'edmd'")
@@ -345,30 +345,15 @@ def _cmd_importance(cfg: dict, out_dir: Path) -> None:
 
 
 def _cmd_export_latents(cfg: dict, out_dir: Path) -> None:
-    table, _ = _load_table(cfg)
     steps = cfg["export.rollout_steps"]
     if cfg["export.model"]:
-        if not cfg["export.preprocessor"]:
-            raise ValueError("export.preprocessor is required with export.model")
-        pre_path = Path(cfg["export.preprocessor"])
-        if not pre_path.exists():
-            raise FileNotFoundError(f"preprocessor file not found: {pre_path}")
-        model, _ = load_checkpoint(cfg["export.model"])
-        pre = Preprocessor.load(pre_path)
-        prepped = table.with_features(pre.transform(table.X))
-        windows = build_windows(prepped, w=cfg["data.window"])
+        model, _, windows = _load_nkm(cfg, "export")
         rows = export_latents(model, windows, rollout_steps=steps)
     else:
-        _, held_out = train_val_split(table.unique_subjects(),
-                                      cfg["train.val_frac"], cfg["seed"])
-        fold = materialize_fold(table, held_out, seed=cfg["seed"],
-                                w=cfg["data.window"],
-                                val_frac=cfg["train.val_frac"])
-        model = NkmModel(arch_from_config(cfg), seed=cfg["seed"])
-        train(model, fold.train, fold.val, optim_from_config(cfg),
-              loss_from_config(cfg), mode=cfg["train.mode"], seed=cfg["seed"])
-        rows = export_latents(model, fold.test, train_windows=fold.train,
-                              rollout_steps=steps)
+        table, _ = _load_table(cfg)
+        fold, result = _fit_nkm(cfg, table, _held_out_subjects(cfg, table))
+        rows = export_latents(result.model, fold.test,
+                              train_windows=fold.train, rollout_steps=steps)
     write_latents_csv(out_dir / "latents.csv", rows)
     _write_report(out_dir, {"rows": len(rows), "rollout_steps": steps})
     print(f"wrote {len(rows)} trajectory rows to {out_dir / 'latents.csv'}")

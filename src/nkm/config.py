@@ -4,13 +4,15 @@ Every command starts from its default table below, then applies, in order:
 preset, config-file values, --set overrides, and the explicit --seed/--out
 flags. Later sources win. Values in files and --set are parsed as JSON when
 possible, else kept as strings. Unknown keys are rejected so typos cannot
-silently fall back to defaults.
+silently fall back to defaults, and each command's table holds only keys
+that the command reads.
 """
 from __future__ import annotations
 
 import json
 from pathlib import Path
 
+from .edmd import EdmdConfig
 from .model import ArchConfig, full_arch
 from .optim import OptimConfig
 from .training import LossConfig
@@ -20,8 +22,7 @@ class ConfigError(ValueError):
     pass
 
 
-_DATA_KEYS = {
-    "data.path": None,              # CSV of visits; None -> synthesize
+_COHORT_KEYS = {
     "data.n_subjects": 200,
     "data.visits": 8,
     "data.latent_dim": 4,
@@ -35,6 +36,11 @@ _DATA_KEYS = {
     "data.window": 3,
 }
 
+_DATA_KEYS = {
+    "data.path": None,              # CSV of visits; None -> synthesize
+    **_COHORT_KEYS,
+}
+
 _MODEL_KEYS = {
     "model.scale": "desk",          # "desk" | "full"
     "model.d_z": None,              # None -> scale default
@@ -44,8 +50,9 @@ _MODEL_KEYS = {
     "model.n_decoder_blocks": None,
     "model.sigma_init": None,
     "model.rho_init": None,
-    "model.ablation": "full",
 }
+
+_ABLATION_KEYS = {"model.ablation": "full"}
 
 _OPTIM_KEYS = {
     "optim.lr": 4e-4,
@@ -80,35 +87,35 @@ _EDMD_KEYS = {
 
 _COMMON = {"seed": 0, "out": "out"}
 
+_NKM_KEYS = {**_MODEL_KEYS, **_OPTIM_KEYS, **_LOSS_KEYS}
+
 COMMAND_DEFAULTS: dict[str, dict] = {
-    "synth": {**_COMMON, **_DATA_KEYS},
-    "train": {**_COMMON, **_DATA_KEYS, **_MODEL_KEYS, **_OPTIM_KEYS,
-              **_LOSS_KEYS, **_TRAIN_KEYS},
+    "synth": {**_COMMON, **_COHORT_KEYS},
+    "train": {**_COMMON, **_DATA_KEYS, **_NKM_KEYS, **_ABLATION_KEYS,
+              **_TRAIN_KEYS},
     "eval": {**_COMMON, **_DATA_KEYS,
              "eval.model": None, "eval.preprocessor": None},
-    "cv": {**_COMMON, **_DATA_KEYS, **_MODEL_KEYS, **_OPTIM_KEYS,
-           **_LOSS_KEYS, **_TRAIN_KEYS, "cv.k": 5},
-    "ablate": {**_COMMON, **_DATA_KEYS, **_MODEL_KEYS, **_OPTIM_KEYS,
-               **_LOSS_KEYS, **_TRAIN_KEYS, "cv.k": 5,
+    "cv": {**_COMMON, **_DATA_KEYS, **_NKM_KEYS, **_ABLATION_KEYS,
+           **_TRAIN_KEYS, "cv.k": 5},
+    "ablate": {**_COMMON, **_DATA_KEYS, **_NKM_KEYS, **_TRAIN_KEYS, "cv.k": 5,
                "ablate.setups": ["full", "no_control",
                                  "no_temporal_attention",
                                  "no_feature_attention", "no_spectral_reg"]},
     "edmd": {**_COMMON, **_DATA_KEYS, **_EDMD_KEYS, "cv.k": 5,
              "train.val_frac": 0.2},
-    "verify-bound": {**_COMMON, **_DATA_KEYS, **_MODEL_KEYS, **_OPTIM_KEYS,
-                     **_LOSS_KEYS, **_TRAIN_KEYS, **_EDMD_KEYS,
+    "verify-bound": {**_COMMON, **_DATA_KEYS, **_NKM_KEYS, **_ABLATION_KEYS,
+                     **_TRAIN_KEYS, **_EDMD_KEYS,
                      "bound.source": "nkm", "bound.tau_max": 20,
                      "data.visits": 24, "optim.epochs": 30},
     "verify-descent": {**_COMMON, **_DATA_KEYS, **_MODEL_KEYS, **_LOSS_KEYS,
                        "descent.iters": 50, "descent.n_windows": 32,
                        "descent.theta_step": 1e-2, "descent.k_step": 0.5,
                        "descent.negative_control": True},
-    "importance": {**_COMMON, **_DATA_KEYS, **_MODEL_KEYS, **_OPTIM_KEYS,
-                   **_LOSS_KEYS, **_TRAIN_KEYS,
+    "importance": {**_COMMON, **_DATA_KEYS, **_NKM_KEYS,
                    "importance.runs": 50, "importance.test_frac": 0.2,
                    "importance.train": True, "optim.epochs": 30},
-    "export-latents": {**_COMMON, **_DATA_KEYS, **_MODEL_KEYS, **_OPTIM_KEYS,
-                       **_LOSS_KEYS, **_TRAIN_KEYS,
+    "export-latents": {**_COMMON, **_DATA_KEYS, **_NKM_KEYS, **_ABLATION_KEYS,
+                       **_TRAIN_KEYS,
                        "export.rollout_steps": 5, "export.model": None,
                        "export.preprocessor": None, "optim.epochs": 30},
 }
@@ -212,3 +219,12 @@ def loss_from_config(cfg: dict) -> LossConfig:
     return LossConfig(lambda_koop=cfg["loss.lambda_koop"],
                       eta=cfg["loss.eta"], rho=cfg["loss.rho"],
                       power_iters=cfg["loss.power_iters"])
+
+
+def edmd_from_config(cfg: dict) -> EdmdConfig:
+    return EdmdConfig(n_centers=cfg["edmd.n_centers"],
+                      include_identity=cfg["edmd.include_identity"],
+                      include_constant=cfg["edmd.include_constant"],
+                      alpha=cfg["edmd.alpha"],
+                      readout_alpha=cfg["edmd.readout_alpha"],
+                      seed=cfg["seed"])

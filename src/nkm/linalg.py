@@ -1,17 +1,15 @@
 """Dense linear-algebra helpers: spectral-norm estimation, SVD, pseudoinverse.
 
-SVD and pinv wrap numpy.linalg (LAPACK). Power iteration is hand-rolled:
-a seeded block subspace iteration on K^T K with a Rayleigh-Ritz extract,
-which converges far faster than the single-vector recurrence and always
-estimates from below.
+SVD and pinv call numpy.linalg (LAPACK) with no size cap. Power iteration
+is hand-rolled: a seeded block subspace iteration on K^T K with a
+Rayleigh-Ritz extract, which converges far faster than the single-vector
+recurrence and always estimates from below.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .tensor import Tensor, as_tensor, div, l2_norm, matmul, transpose
-
-_SVD_MAX_DIM = 512
 
 
 def check_matrix(a: np.ndarray, name: str = "matrix", square: bool = False) -> np.ndarray:
@@ -69,18 +67,10 @@ def spectral_norm_differentiable(K: Tensor, iters: int = 10, seed: int = 0) -> T
     return l2_norm(matmul(K, v))
 
 
-def svd_small(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Full SVD A = U diag(s) Vt with s non-increasing."""
-    A = check_matrix(A, "A")
-    if min(A.shape) > _SVD_MAX_DIM:
-        raise ValueError(f"svd_small limited to min dim {_SVD_MAX_DIM}")
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    return U, s, Vt
-
-
 def pinv(A: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
     """Moore-Penrose pseudoinverse; singular values <= rcond * sigma_max drop to 0."""
-    U, s, Vt = svd_small(A)
+    A = check_matrix(A, "A")
+    U, s, Vt = np.linalg.svd(A, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((A.shape[1], A.shape[0]))
     cut = rcond * s[0]
@@ -91,7 +81,7 @@ def pinv(A: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
 def clip_singular_values(K: np.ndarray, smax: float) -> np.ndarray:
     """Replace each singular value s by min(s, smax). No-op matrices pass through."""
     K = check_matrix(K, "K")
-    U, s, Vt = svd_small(K)
+    U, s, Vt = np.linalg.svd(K, full_matrices=False)
     if s.size == 0 or s[0] <= smax:
         return K.copy()
     return (U * np.minimum(s, smax)) @ Vt

@@ -244,11 +244,6 @@ class NkmModel:
             z = add(z, self._dropout(blk, train, rng))
         return z
 
-    def embed_rows(self, x: np.ndarray) -> np.ndarray:
-        """Refined latent per visit row, eval mode, as a plain array."""
-        z, _ = self.encode_rows(x)
-        return self.refine(z).data
-
     @staticmethod
     def _softmax(scores: list[Tensor]) -> list[Tensor]:
         """Stable softmax across a list of (B, 1) score tensors."""

@@ -63,11 +63,6 @@ def group_slices(groups: list[str] | None = None) -> dict[str, slice]:
     return out
 
 
-def group_dims(groups: list[str] | None = None) -> dict[str, int]:
-    groups = GROUP_NAMES if groups is None else groups
-    return {g: len(GROUP_COLUMNS[g]) for g in groups}
-
-
 ONE_HOT_INDEX_BLOCKS = [[FEATURE_COLUMNS.index(c) for c in block]
                         for block in ONE_HOT_BLOCKS]
 

@@ -390,16 +390,10 @@ def run_edmd_cv(table: VisitTable, edmd_cfg=None, k: int = 5, seed: int = 0,
 
 
 def run_ablation(table: VisitTable, setups: list[str] | None = None,
-                 arch: ArchConfig | None = None,
-                 optim_cfg: OptimConfig | None = None,
-                 loss_cfg: LossConfig | None = None,
-                 k: int = 5, seed: int = 0, mode: str = "joint") -> list[CvResult]:
-    """One CvResult per setup, same folds and seeds across setups."""
+                 **cv_kwargs) -> list[CvResult]:
+    """One CvResult per setup, same folds and seeds across setups. Every
+    keyword argument is passed through to run_cv."""
     setups = list(ABLATION_SETUPS) if setups is None else list(setups)
-    results = []
-    for name in setups:
-        flags = AblationFlags.from_name(name)
-        results.append(run_cv(table, arch=arch, optim_cfg=optim_cfg,
-                              loss_cfg=loss_cfg, k=k, seed=seed, mode=mode,
-                              ablation=flags, setup_name=name))
-    return results
+    return [run_cv(table, ablation=AblationFlags.from_name(name),
+                   setup_name=name, **cv_kwargs)
+            for name in setups]

@@ -277,3 +277,110 @@ class TestAnalysisCommands:
         assert rows and {r["step"] for r in rows} == {"0", "1", "2", "3"}
         assert all(np.isfinite(float(r["pc1"])) for r in rows)
         capsys.readouterr()
+
+
+class TestAblateForwardsCvArguments:
+    def test_window_and_val_frac_reach_run_cv(self, tmp_path, capsys,
+                                              monkeypatch):
+        import nkm.training as training
+        seen = []
+        real_run_cv = training.run_cv
+
+        def spy(table, **kwargs):
+            seen.append(kwargs)
+            return real_run_cv(table, **kwargs)
+
+        monkeypatch.setattr(training, "run_cv", spy)
+        rc, out = run(tmp_path, "a", "ablate", "--seed", "1", *TINY,
+                      "--set", "data.visits=6", "--set", "data.window=4",
+                      "--set", "train.val_frac=0.3", "--set", "cv.k=3",
+                      "--set", 'ablate.setups=["full"]')
+        assert rc == 0, capsys.readouterr().err
+        assert [(kw.get("w"), kw.get("val_frac")) for kw in seen] == [(4, 0.3)]
+        report = json.loads((out / "report.json").read_text())
+        assert report["setups"]["full"]["folds"] == 3
+        capsys.readouterr()
+
+
+class _ReadRecorder(dict):
+    """Config table that remembers every key a handler looks up."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.read: set[str] = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+_SMALL_DATA = ["--set", "data.n_subjects=10", "--set", "data.visits=5"]
+_SMALL_MODEL = ["--set", "model.d_z=8", "--set", "model.n_heads=2"]
+
+# One or more runs per command; their reads are pooled, so a key counts as
+# read if any supported branch of the command reads it.
+_KEY_SCAN_RUNS = {
+    "synth": [_SMALL_DATA],
+    "train": [TINY],
+    "eval": [[*_SMALL_DATA, "--set", "eval.model={ckpt}/model",
+              "--set", "eval.preprocessor={ckpt}/preprocessor.npz"]],
+    "cv": [[*TINY, "--set", "cv.k=2"]],
+    "ablate": [[*TINY, "--set", "cv.k=2",
+                "--set", 'ablate.setups=["full"]']],
+    "edmd": [["--seed", "1", "--set", "data.n_subjects=15",
+              "--set", "data.visits=5", "--set", "cv.k=3",
+              "--set", "edmd.n_centers=20"]],
+    "verify-bound": [[*TINY, "--set", "data.visits=8",
+                      "--set", "bound.tau_max=3"],
+                     [*_SMALL_DATA, "--set", "bound.source=edmd",
+                      "--set", "bound.tau_max=3",
+                      "--set", "data.observation=identity",
+                      "--set", "data.noise_sd=0.0",
+                      "--set", "data.drift_sd=0.0",
+                      "--set", "data.base_drift_scale=0.0",
+                      "--set", "edmd.n_centers=0",
+                      "--set", "edmd.include_constant=false",
+                      "--set", "edmd.alpha=1e-6"]],
+    "verify-descent": [[*_SMALL_DATA, *_SMALL_MODEL,
+                        "--set", "descent.iters=1",
+                        "--set", "descent.n_windows=4"]],
+    "importance": [[*TINY, "--set", "importance.runs=1",
+                    "--set", "importance.train=true"]],
+    "export-latents": [[*TINY, "--set", "export.rollout_steps=1"],
+                       [*_SMALL_DATA, "--set", "export.model={ckpt}/model",
+                        "--set",
+                        "export.preprocessor={ckpt}/preprocessor.npz"]],
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    out = tmp_path_factory.mktemp("ckpt")
+    assert main(["train", *TINY, "--out", str(out)]) == 0
+    return out
+
+
+@pytest.mark.parametrize("command", sorted(_KEY_SCAN_RUNS))
+def test_every_config_key_is_read(command, tmp_path, monkeypatch, capsys,
+                                  tiny_checkpoint):
+    """A key a command accepts but never reads would silently do nothing."""
+    import nkm.cli as cli
+    from nkm.config import COMMAND_DEFAULTS, build_config
+    tables = []
+
+    def recording_build_config(*args, **kwargs):
+        tables.append(_ReadRecorder(build_config(*args, **kwargs)))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "build_config", recording_build_config)
+    for i, args in enumerate(_KEY_SCAN_RUNS[command]):
+        args = [a.format(ckpt=tiny_checkpoint) for a in args]
+        rc = main([command, *args, "--out", str(tmp_path / str(i))])
+        assert rc == 0, capsys.readouterr().err
+    read = set().union(*(t.read for t in tables))
+    assert sorted(set(COMMAND_DEFAULTS[command]) - read) == []
+    capsys.readouterr()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from nkm import linalg as LA
+from nkm.model import init_koopman
 from nkm.tensor import Tensor
 
 
@@ -79,21 +80,26 @@ class TestDifferentiableEstimate:
 
 
 class TestSvdPinv:
-    def test_svd_reconstructs(self):
-        A = np.random.default_rng(1).standard_normal((7, 4))
-        U, s, Vt = LA.svd_small(A)
-        assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
-        assert np.max(np.abs((U * s) @ Vt - A)) < 1e-10
-
-    def test_svd_rejects_large(self):
-        with pytest.raises(ValueError):
-            LA.svd_small(np.zeros((600, 600)))
+    def test_no_dimension_cap(self):
+        # realistic sizes (d_z > 512, 500+ RBF centers) must not hit a cap
+        A = np.random.default_rng(0).standard_normal((600, 600))
+        P = LA.pinv(A)
+        assert np.allclose(A @ P @ A, A, atol=1e-8)
+        s = np.linalg.svd(A, compute_uv=False)
+        Ac = LA.clip_singular_values(A, s[300])
+        assert np.linalg.svd(Ac, compute_uv=False)[0] <= s[300] * (1 + 1e-10)
+        K = init_koopman(520, 0.01, 0.99, np.random.default_rng(1))
+        assert np.linalg.svd(K, compute_uv=False)[0] <= 0.99 + 1e-10
 
     def test_pinv_moore_penrose(self):
-        A = np.random.default_rng(2).standard_normal((6, 3))
-        P = LA.pinv(A)
-        assert np.allclose(A @ P @ A, A, atol=1e-10)
-        assert np.allclose(P @ A @ P, P, atol=1e-10)
+        for shape in ((6, 3), (4, 7)):
+            A = np.random.default_rng(2).standard_normal(shape)
+            P = LA.pinv(A)
+            assert P.shape == shape[::-1]
+            assert np.allclose(A @ P @ A, A, atol=1e-10)
+            assert np.allclose(P @ A @ P, P, atol=1e-10)
+            assert np.allclose(A @ P, (A @ P).T, atol=1e-10)
+            assert np.allclose(P @ A, (P @ A).T, atol=1e-10)
 
     def test_pinv_rank_deficient(self):
         # rank-1 matrix: rcond cut must zero the null directions
@@ -124,6 +130,17 @@ class TestProjections:
         K = np.random.default_rng(4).standard_normal((10, 10))
         Kc = LA.clip_singular_values(K, 0.7)
         assert np.linalg.svd(Kc, compute_uv=False)[0] <= 0.7 + 1e-12
+        # rectangular, clipped at the second singular value: A - Ac must be
+        # rank 1 with norm s0 - s1, so the factorization reconstructs A
+        A = np.random.default_rng(1).standard_normal((7, 4))
+        s = np.linalg.svd(A, compute_uv=False)
+        Ac = LA.clip_singular_values(A, s[1])
+        assert Ac.shape == A.shape
+        got = np.linalg.svd(Ac, compute_uv=False)
+        assert np.allclose(got, np.minimum(s, s[1]), atol=1e-10)
+        r = np.linalg.svd(A - Ac, compute_uv=False)
+        assert abs(r[0] - (s[0] - s[1])) < 1e-10
+        assert np.all(r[1:] < 1e-10)
 
     def test_spectral_scale(self):
         K = np.random.default_rng(5).standard_normal((9, 9))
