@@ -80,6 +80,19 @@ class TestDifferentiableEstimate:
 
 
 class TestSvdPinv:
+    def test_svd_reconstructs(self):
+        # rectangular, clipped at the second singular value: A - Ac must be
+        # rank 1 with norm s0 - s1, so the factorization reconstructs A
+        A = np.random.default_rng(1).standard_normal((7, 4))
+        s = np.linalg.svd(A, compute_uv=False)
+        Ac = LA.clip_singular_values(A, s[1])
+        assert Ac.shape == A.shape
+        got = np.linalg.svd(Ac, compute_uv=False)
+        assert np.allclose(got, np.minimum(s, s[1]), atol=1e-10)
+        r = np.linalg.svd(A - Ac, compute_uv=False)
+        assert abs(r[0] - (s[0] - s[1])) < 1e-10
+        assert np.all(r[1:] < 1e-10)
+
     def test_no_dimension_cap(self):
         # realistic sizes (d_z > 512, 500+ RBF centers) must not hit a cap
         A = np.random.default_rng(0).standard_normal((600, 600))
@@ -130,17 +143,6 @@ class TestProjections:
         K = np.random.default_rng(4).standard_normal((10, 10))
         Kc = LA.clip_singular_values(K, 0.7)
         assert np.linalg.svd(Kc, compute_uv=False)[0] <= 0.7 + 1e-12
-        # rectangular, clipped at the second singular value: A - Ac must be
-        # rank 1 with norm s0 - s1, so the factorization reconstructs A
-        A = np.random.default_rng(1).standard_normal((7, 4))
-        s = np.linalg.svd(A, compute_uv=False)
-        Ac = LA.clip_singular_values(A, s[1])
-        assert Ac.shape == A.shape
-        got = np.linalg.svd(Ac, compute_uv=False)
-        assert np.allclose(got, np.minimum(s, s[1]), atol=1e-10)
-        r = np.linalg.svd(A - Ac, compute_uv=False)
-        assert abs(r[0] - (s[0] - s[1])) < 1e-10
-        assert np.all(r[1:] < 1e-10)
 
     def test_spectral_scale(self):
         K = np.random.default_rng(5).standard_normal((9, 9))
