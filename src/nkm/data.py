@@ -39,6 +39,15 @@ class VisitTable:
             seen.setdefault(s, None)
         return list(seen)
 
+    def subject_rows(self) -> dict[str, np.ndarray]:
+        """Each subject's row indices in visit order (stable), subjects in
+        first-appearance order."""
+        by_subject: dict[str, list[int]] = {}
+        for i, s in enumerate(self.subject_ids):
+            by_subject.setdefault(s, []).append(i)
+        return {s: np.array(sorted(idx, key=lambda i: self.visits[i]))
+                for s, idx in by_subject.items()}
+
     def subset_subjects(self, subjects) -> "VisitTable":
         wanted = set(subjects)
         idx = [i for i, s in enumerate(self.subject_ids) if s in wanted]
@@ -160,18 +169,13 @@ def build_windows(table: VisitTable, w: int = 3) -> Windows:
     """
     if w < 1:
         raise ValueError("w must be >= 1")
-    by_subject: dict[str, list[int]] = {}
-    for i, s in enumerate(table.subject_ids):
-        by_subject.setdefault(s, []).append(i)
-
     xs, ys, subs, starts = [], [], [], []
-    for s, idx in by_subject.items():
-        idx = sorted(idx, key=lambda i: table.visits[i])
+    for s, idx in table.subject_rows().items():
         for t0 in range(len(idx) - w):
             tgt = table.Y[idx[t0 + w]]
             if np.any(np.isnan(tgt)):
                 continue
-            xs.append(table.X[[idx[t0 + j] for j in range(w)]])
+            xs.append(table.X[idx[t0:t0 + w]])
             ys.append(tgt)
             subs.append(s)
             starts.append(t0)
@@ -219,6 +223,9 @@ class Preprocessor:
     train rows that observe it, falling back to the train column mean
     (zero in standardized space). All state is a pure function of the
     rows passed to fit().
+
+    A column whose train std is at most `std_floor` gets scale 1.0: it maps
+    to x - mean, so a value unseen in training stays on the raw scale.
     """
 
     def __init__(self, k: int = 5, std_floor: float = 1e-8):
@@ -242,7 +249,7 @@ class Preprocessor:
         with np.errstate(invalid="ignore"):
             self.mean_ = np.nanmean(X, axis=0)
             self.std_ = np.nanstd(X, axis=0)
-        self.std_ = np.maximum(self.std_, self.std_floor)
+        self.std_ = np.where(self.std_ > self.std_floor, self.std_, 1.0)
         self.train_std_ = (X - self.mean_) / self.std_
         return self
 

@@ -129,10 +129,7 @@ def fit_edmd(X_lifted: np.ndarray, Y_lifted: np.ndarray, alpha: float = 0.0
 def _snapshot_rows(table: VisitTable) -> tuple[np.ndarray, np.ndarray]:
     """Consecutive same-subject visit pairs, visit-sorted (loader order)."""
     xs, ys = [], []
-    ids = np.asarray(table.subject_ids)
-    for sid in table.unique_subjects():
-        rows = np.flatnonzero(ids == sid)
-        rows = rows[np.argsort(table.visits[rows], kind="stable")]
+    for rows in table.subject_rows().values():
         if rows.size >= 2:
             xs.append(table.X[rows[:-1]])
             ys.append(table.X[rows[1:]])
@@ -212,6 +209,7 @@ class EdmdModel:
 # ---- checkpointing (same manifest + raw float64 scheme as the NKM) --------
 
 _EDMD_ARRAYS = ("centers", "K", "readout")
+_EDMD_FORMAT = 1
 
 
 def save_edmd(model: EdmdModel, stem: str | Path) -> None:
@@ -220,7 +218,7 @@ def save_edmd(model: EdmdModel, stem: str | Path) -> None:
     arrays = {"centers": model.dictionary.centers, "K": model.K,
               "readout": model.readout}
     manifest = {
-        "format_version": 1,
+        "format_version": _EDMD_FORMAT,
         "kind": "edmd",
         "config": asdict(model.cfg),
         "bandwidth": model.dictionary.bandwidth,
@@ -242,6 +240,10 @@ def load_edmd(stem: str | Path) -> EdmdModel:
     manifest = json.loads(mpath.read_text())
     if manifest.get("kind") != "edmd":
         raise ValueError("manifest is not an EDMD checkpoint")
+    version = manifest.get("format_version")
+    if version != _EDMD_FORMAT:
+        raise ValueError(f"EDMD checkpoint format_version {version} is not "
+                         f"readable; this version reads format_version {_EDMD_FORMAT}")
     shapes = {k: tuple(v) for k, v in manifest["array_shapes"].items()}
     flat = np.fromfile(bpath, dtype="<f8")
     want = sum(int(np.prod(s)) for s in shapes.values())

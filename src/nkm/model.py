@@ -7,6 +7,8 @@ Per window of w standardized visits the model computes
     z_t^ref = z_t + sum of residual blocks
     c_t = g * c_feat + (1 - g) * c_time               (attention + gate)
     y_hat = decode(K z_last^ref + c_t)
+c_time attends over the w refined states (n_heads column blocks of one Q, K
+and V projection each), c_feat over the G group embeddings, both in `_attend`.
 All array math runs on the autodiff tape; diagnostics (attention weights,
 gate) are detached copies.
 """
@@ -21,8 +23,10 @@ import numpy as np
 from . import schema
 from .linalg import clip_singular_values, power_iteration_norm, spectral_scale
 from .optim import ParamStore
-from .tensor import (Tensor, add, concat_cols, div, exp, layer_norm, matmul,
-                     mul, sigmoid, silu, sub, tsum, transpose)
+from .tensor import (Tensor, add, concat, div, exp, layer_norm, matmul, mul,
+                     reshape, sigmoid, silu, sub, tsum, transpose)
+
+_CHECKPOINT_FORMAT = 2  # 2: temporal Q/K/V stored as stacked per-head blocks
 
 _DESK_HIDDEN = {"genetic": (12, 8), "csf": (12, 8), "pet": (12, 8),
                 "mri": (24, 12), "demo": (12, 8)}
@@ -166,15 +170,12 @@ class NkmModel:
             p.add(f"refine.{i}.gamma", np.ones(a.d_z))
             p.add(f"refine.{i}.beta", np.zeros(a.d_z))
 
-        if a.n_heads == 1:
-            p.add("attn_t.q.W", _glorot(rng, a.d_z, a.d_k))
-            p.add("attn_t.k.W", _glorot(rng, a.d_z, a.d_k))
-        else:
-            for h in range(a.n_heads):
-                p.add(f"attn_t.q{h}.W", _glorot(rng, a.d_z, a.d_k))
-                p.add(f"attn_t.k{h}.W", _glorot(rng, a.d_z, a.d_k))
-                p.add(f"attn_t.v{h}.W", _glorot(rng, a.d_z, a.d_k))
-            p.add("attn_t.out.W", _glorot(rng, a.d_z, a.d_z))
+        # drawn head by head (q, k, v per head), laid out as column blocks
+        heads = [[_glorot(rng, a.d_z, a.d_k) for _ in "qkv"]
+                 for _ in range(a.n_heads)]
+        for j, name in enumerate("qkv"):
+            p.add(f"attn_t.{name}.W", np.hstack([blocks[j] for blocks in heads]))
+        p.add("attn_t.out.W", _glorot(rng, a.d_z, a.d_z))
 
         p.add("attn_f.q.W", _glorot(rng, a.d_z, a.d_k))
         for g in a.groups:
@@ -229,8 +230,8 @@ class NkmModel:
                                     self.params[f"enc.{g}.{i}.beta"]))
                 h = self._dropout(h, train, rng)
             embeds[g] = h
-        fused = silu(add(matmul(concat_cols([embeds[g] for g in self.arch.groups]),
-                                self.params["fuse.W"]), self.params["fuse.b"]))
+        cat = concat([embeds[g] for g in self.arch.groups], axis=1)
+        fused = silu(add(matmul(cat, self.params["fuse.W"]), self.params["fuse.b"]))
         fused = self._dropout(fused, train, rng)
         return fused, embeds
 
@@ -245,20 +246,25 @@ class NkmModel:
         return z
 
     @staticmethod
-    def _softmax(scores: list[Tensor]) -> list[Tensor]:
-        """Stable softmax across a list of (B, 1) score tensors."""
-        m = np.max(np.concatenate([s.data for s in scores], axis=1),
-                   axis=1, keepdims=True)
-        shift = Tensor(m)
-        exps = [exp(sub(s, shift)) for s in scores]
-        total = exps[0]
-        for e in exps[1:]:
-            total = add(total, e)
-        return [div(e, total) for e in exps]
+    def _attend(q: Tensor, keys: Tensor, vals: Tensor, n: int, heads: int
+                ) -> tuple[Tensor, np.ndarray]:
+        """Scaled dot-product attention of B queries over n candidates each.
 
-    def _scaled_score(self, q: Tensor, k: Tensor) -> Tensor:
-        return mul(tsum(mul(q, k), axis=1, keepdims=True),
-                   1.0 / np.sqrt(self.arch.d_k))
+        q is (B, heads*d); keys (n*B, heads*d) and vals (n*B, heads*e) are
+        stacked candidate-major. Returns the (B, heads*e) context and the
+        weights as a (B, heads, n) array.
+        """
+        B = q.data.shape[0]
+        d = q.data.shape[1] // heads
+        e = vals.data.shape[1] // heads
+        scores = mul(tsum(mul(reshape(keys, (n, B, heads, d)),
+                              reshape(q, (B, heads, d))), axis=3, keepdims=True),
+                     1.0 / np.sqrt(d))                        # (n, B, heads, 1)
+        ex = exp(sub(scores, Tensor(scores.data.max(axis=0))))
+        weights = div(ex, tsum(ex, axis=0))
+        ctx = tsum(mul(reshape(vals, (n, B, heads, e)), weights), axis=0)
+        return (reshape(ctx, (B, heads * e)),
+                weights.data[..., 0].transpose(1, 2, 0).copy())
 
     def temporal_context(self, z_refs: list[Tensor]) -> tuple[Tensor, np.ndarray]:
         """Attention over the window's refined states, query = final state.
@@ -276,32 +282,12 @@ class NkmModel:
             c = mul(c, 1.0 / w)
             return c, np.full((B, a.n_heads, w), 1.0 / w)
 
-        if a.n_heads == 1:
-            q = matmul(z_last, self.params["attn_t.q.W"])
-            scores = [self._scaled_score(q, matmul(z, self.params["attn_t.k.W"]))
-                      for z in z_refs]
-            alphas = self._softmax(scores)
-            c = mul(z_refs[0], alphas[0])
-            for z, al in zip(z_refs[1:], alphas[1:]):
-                c = add(c, mul(z, al))
-            alpha = np.stack([al.data[:, 0] for al in alphas], axis=1)
-            return c, alpha[:, None, :]
-
-        head_outs: list[Tensor] = []
-        alpha_all = np.zeros((B, a.n_heads, w))
-        for h in range(a.n_heads):
-            q = matmul(z_last, self.params[f"attn_t.q{h}.W"])
-            scores = [self._scaled_score(q, matmul(z, self.params[f"attn_t.k{h}.W"]))
-                      for z in z_refs]
-            alphas = self._softmax(scores)
-            vals = [matmul(z, self.params[f"attn_t.v{h}.W"]) for z in z_refs]
-            out = mul(vals[0], alphas[0])
-            for v, al in zip(vals[1:], alphas[1:]):
-                out = add(out, mul(v, al))
-            head_outs.append(out)
-            alpha_all[:, h, :] = np.concatenate([al.data for al in alphas], axis=1)
-        c = matmul(concat_cols(head_outs), self.params["attn_t.out.W"])
-        return c, alpha_all
+        zs = concat(z_refs, axis=0)
+        q = matmul(z_last, self.params["attn_t.q.W"])
+        ctx, alpha = self._attend(q, matmul(zs, self.params["attn_t.k.W"]),
+                                  matmul(zs, self.params["attn_t.v.W"]),
+                                  w, a.n_heads)
+        return matmul(ctx, self.params["attn_t.out.W"]), alpha
 
     def feature_context(self, z_last: Tensor, embeds: dict[str, Tensor]
                         ) -> tuple[Tensor, np.ndarray]:
@@ -318,16 +304,11 @@ class NkmModel:
             c = mul(c, 1.0 / len(groups))
             B = z_last.data.shape[0]
             return c, np.full((B, len(groups)), 1.0 / len(groups))
-        v_q = matmul(z_last, self.params["attn_f.q.W"])
-        scores = [self._scaled_score(v_q, matmul(embeds[g],
-                                                 self.params[f"attn_f.key.{g}.W"]))
-                  for g in groups]
-        betas = self._softmax(scores)
-        c = mul(vals[0], betas[0])
-        for v, be in zip(vals[1:], betas[1:]):
-            c = add(c, mul(v, be))
-        beta = np.concatenate([be.data for be in betas], axis=1)
-        return c, beta
+        q = matmul(z_last, self.params["attn_f.q.W"])
+        keys = concat([matmul(embeds[g], self.params[f"attn_f.key.{g}.W"])
+                       for g in groups], axis=0)
+        c, beta = self._attend(q, keys, concat(vals, axis=0), len(groups), 1)
+        return c, beta[:, 0, :]
 
     def control(self, z_refs: list[Tensor], embeds_last: dict[str, Tensor]
                 ) -> tuple[Tensor, np.ndarray, np.ndarray, np.ndarray]:
@@ -342,7 +323,7 @@ class NkmModel:
                     np.full((B, a.d_z), 0.5))
         c_time, alpha = self.temporal_context(z_refs)
         c_feat, beta = self.feature_context(z_last, embeds_last)
-        gin = concat_cols([z_last, c_time])
+        gin = concat([z_last, c_time], axis=1)
         gate = sigmoid(add(matmul(gin, self.params["gate.W"]), self.params["gate.b"]))
         ones = Tensor(np.ones_like(gate.data))
         c = add(mul(gate, c_feat), mul(sub(ones, gate), c_time))
@@ -404,7 +385,7 @@ def save_checkpoint(model: NkmModel, stem: str,
     """Write `<stem>.json` (manifest) and `<stem>.bin` (little-endian float64,
     declaration order). Returns the two paths."""
     manifest = {
-        "format_version": 1,
+        "format_version": _CHECKPOINT_FORMAT,
         "arch": asdict(model.arch),
         "ablation": asdict(model.ablation),
         "seed": model.seed,
@@ -430,6 +411,11 @@ def load_checkpoint(stem: str) -> tuple[NkmModel, dict]:
         raise FileNotFoundError(f"checkpoint files {json_path} / {bin_path} missing")
     with open(json_path) as fh:
         manifest = json.load(fh)
+    version = manifest.get("format_version")
+    if version != _CHECKPOINT_FORMAT:
+        raise ValueError(f"checkpoint format_version {version} is not readable; "
+                         f"this version reads format_version {_CHECKPOINT_FORMAT} "
+                         "(retrain to convert)")
     arch_d = dict(manifest["arch"])
     arch_d["groups"] = tuple(arch_d["groups"])
     arch_d["group_hidden"] = {k: tuple(v) for k, v in arch_d["group_hidden"].items()}

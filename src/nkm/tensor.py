@@ -317,18 +317,26 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     return _make(out_data, (x, gamma, beta), backward)
 
 
-def concat_cols(parts: list[Tensor]) -> Tensor:
-    """Concatenate 2-D tensors along axis 1."""
-    parts = [as_tensor(p) for p in parts]
-    out_data = np.concatenate([p.data for p in parts], axis=1)
-    widths = [p.data.shape[1] for p in parts]
+def reshape(a, shape) -> Tensor:
+    a = as_tensor(a)
 
     def backward(g):
-        off = 0
-        for p, w in zip(parts, widths):
+        if a.requires_grad:
+            a._accumulate(g.reshape(a.data.shape))
+
+    return _make(a.data.reshape(shape), (a,), backward)
+
+
+def concat(parts: list[Tensor], axis: int) -> Tensor:
+    """Concatenate tensors along `axis`."""
+    parts = [as_tensor(p) for p in parts]
+    out_data = np.concatenate([p.data for p in parts], axis=axis)
+    cuts = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
+
+    def backward(g):
+        for p, gp in zip(parts, np.split(g, cuts, axis=axis)):
             if p.requires_grad:
-                p._accumulate(g[:, off:off + w])
-            off += w
+                p._accumulate(gp)
 
     return _make(out_data, tuple(parts), backward)
 

@@ -168,6 +168,23 @@ class TestVerifyBound:
         with pytest.raises(ValueError, match="tau_max"):
             verify_bound(model, test_table, tau_max=20)
 
+    def test_norm_k_is_exact_svd_norm(self):
+        # clustered singular values: a block power iteration stays below 0.95
+        table = long_cohort(seed=3, visits=6)
+        fold = materialize_fold(table, table.unique_subjects()[:2], seed=3)
+        model = NkmModel(tiny_arch(d_z=24), seed=3)
+        rng = np.random.default_rng(0)
+        U, _ = np.linalg.qr(rng.standard_normal((24, 24)))
+        V, _ = np.linalg.qr(rng.standard_normal((24, 24)))
+        model.K.data = U @ np.diag(np.linspace(0.95, 0.93, 24)) @ V.T
+        test_table = table.subset_subjects(fold.test_subjects)
+        test_table = test_table.with_features(
+            fold.preprocessor.transform(test_table.X))
+        report = verify_bound(model, test_table, tau_max=1)
+        assert report.norm_k == float(np.linalg.svd(model.K.data,
+                                                    compute_uv=False)[0])
+        assert report.norm_k == pytest.approx(0.95, abs=1e-12)
+
     def test_report_round_trips_to_dict(self):
         r = BoundReport(0.1, 0.5, 0.4, [1], [0.1], [0.1], 0.2, True)
         d = r.to_dict()

@@ -210,6 +210,16 @@ class TestEdmdCommand:
         assert report["setup"] == "edmd_rbf" and report["folds"] == 3
         capsys.readouterr()
 
+    def test_small_cohort_with_train_constant_columns(self, tmp_path, capsys):
+        # ten subjects leave one-hot columns constant in some train splits;
+        # an unseen value in a test row must not blow up the readout solve
+        rc, out = run(tmp_path, "d", "edmd",
+                      "--set", "data.n_subjects=10", "--set", "data.visits=5",
+                      "--set", "cv.k=2", "--set", "edmd.n_centers=4")
+        assert rc == 0
+        assert json.loads((out / "report.json").read_text())["folds"] == 2
+        capsys.readouterr()
+
 
 class TestVerifyCommands:
     def test_bound_edmd_source(self, tmp_path, capsys):

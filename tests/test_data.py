@@ -161,6 +161,14 @@ class TestPreprocessor:
         z = Preprocessor().fit_transform(t.X)
         assert np.allclose(z[:, schema.feature_index("CSF_TAU")], 0.0)
 
+    def test_constant_column_unseen_value_is_only_centred(self):
+        # a train-constant column gets scale 1, not the std floor
+        t = make_table([("A", v, {"CSF_TAU": 5.0}, (0, 0, 0)) for v in range(3)])
+        pre = Preprocessor().fit(t.X)
+        q = np.zeros((1, schema.N_FEATURES))
+        q[0, schema.feature_index("CSF_TAU")] = 7.25
+        assert pre.transform(q)[0, schema.feature_index("CSF_TAU")] == 2.25
+
     def test_knn_impute_hand_case(self):
         # train c0 = 1..5 (std sqrt(2)), c1 = 10,20,30,40,NaN (std 5*sqrt(5));
         # query c0=3.5 -> standardized 0.35355; k=3 neighbors are rows 2,3

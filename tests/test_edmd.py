@@ -1,6 +1,8 @@
 """RBF lifting, operator solves, exact recovery on linear dynamics."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -244,6 +246,16 @@ class TestCheckpoint:
         raw = (stem.with_suffix(".bin")).read_bytes()
         stem.with_suffix(".bin").write_bytes(raw[:-16])
         with pytest.raises(ValueError, match="binary"):
+            load_edmd(stem)
+
+    def test_unknown_format_version_rejected(self, tmp_path):
+        table, _ = linear_cohort(seed=12)
+        stem = tmp_path / "edmd"
+        save_edmd(EdmdModel(EdmdConfig(n_centers=2, seed=0)).fit(table), stem)
+        manifest = json.loads(stem.with_suffix(".json").read_text())
+        manifest["format_version"] = 99
+        stem.with_suffix(".json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="format_version 99 .* format_version 1"):
             load_edmd(stem)
 
     def test_missing_files_rejected(self, tmp_path):

@@ -1,6 +1,8 @@
 """Forward-pass stage oracles, attention invariants, init/projection, checkpoints."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -128,16 +130,44 @@ class TestAttention:
         out = m.forward(rand_windows(n=3, seed=6))
         assert np.allclose(out.beta, 1.0 / len(m.arch.groups), atol=1e-12)
 
-    def test_single_head_applies_weights_to_refined_states(self):
-        m = NkmModel(tiny_arch(n_heads=1), seed=3)
-        X = rand_windows(n=4, seed=7)
-        out = m.forward(X)
-        zs = np.stack([z.data for z in out.z_refs], axis=1)  # (B, w, d_z)
-        al = out.alpha[:, 0, :]                              # (B, w)
-        c_time, alpha = m.temporal_context(out.z_refs)
-        assert np.allclose(alpha, out.alpha)
-        want = np.einsum("bw,bwd->bd", al, zs)
-        assert np.allclose(c_time.data, want, atol=1e-12)
+    @pytest.mark.parametrize("n_heads", [1, 2, 4])
+    def test_temporal_context_matches_per_head_reference(self, n_heads):
+        m = NkmModel(tiny_arch(n_heads=n_heads), seed=3)
+        names = [n for n in m.params.names() if n.startswith("attn_t.")]
+        assert names == ["attn_t.q.W", "attn_t.k.W", "attn_t.v.W", "attn_t.out.W"]
+        w, B, d = m.arch.window, 4, m.arch.d_k
+        zs = np.random.default_rng(7).standard_normal((w, B, m.arch.d_z))
+        c_time, alpha = m.temporal_context([Tensor(z) for z in zs])
+
+        Wq, Wk, Wv = (m.params[f"attn_t.{n}.W"].data for n in "qkv")
+        heads, want_alpha = [], np.zeros((B, n_heads, w))
+        for h in range(n_heads):
+            cols = slice(h * d, (h + 1) * d)
+            q = zs[-1] @ Wq[:, cols]
+            s = np.stack([np.sum(q * (z @ Wk[:, cols]), axis=1) for z in zs],
+                         axis=1) / np.sqrt(d)                    # (B, w)
+            a = np.exp(s - s.max(axis=1, keepdims=True))
+            a /= a.sum(axis=1, keepdims=True)
+            want_alpha[:, h, :] = a
+            heads.append(sum(a[:, [t]] * (zs[t] @ Wv[:, cols]) for t in range(w)))
+        want = np.concatenate(heads, axis=1) @ m.params["attn_t.out.W"].data
+        assert np.allclose(alpha, want_alpha, rtol=0.0, atol=1e-12)
+        assert np.allclose(c_time.data, want, rtol=0.0, atol=1e-12)
+
+    def test_feature_context_matches_reference(self):
+        m = NkmModel(tiny_arch(), seed=4)
+        z, embeds = m.encode_rows(rand_windows(n=5, seed=2)[:, -1, :])
+        c_feat, beta = m.feature_context(z, embeds)
+        P = {k: t.data for k, t in m.params.items()}
+        q = z.data @ P["attn_f.q.W"]
+        s = np.stack([np.sum(q * (embeds[g].data @ P[f"attn_f.key.{g}.W"]), axis=1)
+                      for g in m.arch.groups], axis=1) / np.sqrt(m.arch.d_k)
+        want_beta = np.exp(s - s.max(axis=1, keepdims=True))
+        want_beta /= want_beta.sum(axis=1, keepdims=True)
+        want = sum(want_beta[:, [i]] * (embeds[g].data @ P[f"attn_f.val.{g}.W"])
+                   for i, g in enumerate(m.arch.groups))
+        assert np.allclose(beta, want_beta, rtol=0.0, atol=1e-12)
+        assert np.allclose(c_feat.data, want, rtol=0.0, atol=1e-12)
 
     def test_gate_strictly_inside_unit_interval(self):
         m = NkmModel(tiny_arch(), seed=4)
@@ -320,3 +350,29 @@ class TestCheckpoint:
     def test_missing_files_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_checkpoint(str(tmp_path / "nope"))
+
+    def test_unknown_format_version_rejected(self, tmp_path):
+        stem = str(tmp_path / "ckpt")
+        json_path, _ = save_checkpoint(NkmModel(tiny_arch(), seed=0), stem)
+        manifest = json.loads(open(json_path).read())
+        manifest["format_version"] = 99
+        open(json_path, "w").write(json.dumps(manifest))
+        with pytest.raises(ValueError, match="format_version 99 .* format_version 2"):
+            load_checkpoint(stem)
+
+    def test_version_one_checkpoint_rejected(self, tmp_path):
+        # version 1 stored one (d_z, d_k) matrix per head and projection
+        m = NkmModel(tiny_arch(), seed=0)
+        stem = str(tmp_path / "ckpt")
+        json_path, _ = save_checkpoint(m, stem)
+        manifest = json.loads(open(json_path).read())
+        per_head = [f"attn_t.{p}{h}.W" for h in range(m.arch.n_heads)
+                    for p in "qkv"]
+        names = [n for n in manifest["param_names"]
+                 if n not in ("attn_t.q.W", "attn_t.k.W", "attn_t.v.W")]
+        at = names.index("attn_t.out.W")
+        manifest["param_names"] = names[:at] + per_head + names[at:]
+        manifest["format_version"] = 1
+        open(json_path, "w").write(json.dumps(manifest))
+        with pytest.raises(ValueError, match="format_version 1 "):
+            load_checkpoint(stem)

@@ -156,16 +156,21 @@ class TestLayerNormConcat:
         assert np.allclose(gt.grad, fd_grad(fg, gamma0.copy()), atol=1e-5)
         assert np.allclose(bt.grad, fd_grad(fb, beta0.copy()), atol=1e-5)
 
-    def test_concat_cols(self):
-        a0 = RNG.standard_normal((3, 2))
-        b0 = RNG.standard_normal((3, 4))
-        at = T.Tensor(a0.copy(), requires_grad=True)
-        bt = T.Tensor(b0.copy(), requires_grad=True)
-        out = T.tsum(T.square(T.concat_cols([at, bt])))
-        assert out.shape == ()
-        out.backward()
-        assert np.allclose(at.grad, 2 * a0)
-        assert np.allclose(bt.grad, 2 * b0)
+    def test_reshape(self):
+        x0 = RNG.standard_normal((3, 4))
+        w0 = RNG.standard_normal((2, 3, 2))
+        check_against_fd(
+            lambda x: T.tsum(T.mul(T.square(T.reshape(x, (2, 3, 2))), w0)), x0)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_concat(self, axis):
+        # a constant part first, so the cut positions are uneven
+        x0 = RNG.standard_normal((2, 3) if axis == 0 else (3, 2))
+        c0 = RNG.standard_normal((1, 3) if axis == 0 else (3, 1))
+        w0 = RNG.standard_normal((5, 3) if axis == 0 else (3, 5))
+        check_against_fd(
+            lambda x: T.tsum(T.mul(T.square(
+                T.concat([T.Tensor(c0), x, T.sigmoid(x)], axis=axis)), w0)), x0)
 
 
 class TestTapeMechanics:
