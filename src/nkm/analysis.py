@@ -22,8 +22,9 @@ from .edmd import EdmdModel
 from .linalg import max_abs_eigenvalue
 from .model import ArchConfig, NkmModel
 from .optim import OptimConfig
+from .tensor import no_grad
 from .training import (LossConfig, composite_loss, evaluate_predictions,
-                       koopman_covariances, koopman_grad_closed_form, train)
+                       koopman_grad_closed_form, model_covariances, train)
 
 IMPORTANCE_METHOD = ("permutation importance: mean Pearson-r drop across the "
                      "three scores when one feature column is shuffled across "
@@ -39,9 +40,10 @@ def measure_eps(Z_t: np.ndarray, Z_next: np.ndarray, K: np.ndarray,
     Z_next = np.atleast_2d(np.asarray(Z_next, dtype=np.float64))
     if Z_t.shape != Z_next.shape or Z_t.shape[0] < 1:
         raise ValueError("need matching non-empty pair matrices")
-    resid = Z_next - Z_t @ K.T
+    step = Z_t @ K.T
     if C is not None:
-        resid = resid - np.atleast_2d(C)
+        step = step + np.atleast_2d(C)
+    resid = Z_next - step
     return float(np.max(np.sqrt(np.sum(resid * resid, axis=1))))
 
 
@@ -95,8 +97,9 @@ def _nkm_sequences(model: NkmModel, table: VisitTable
             continue
         stack = np.stack([table.X[rows[e - w + 1:e + 1]]
                           for e in range(w - 1, V)], axis=0)
-        fwd = model.forward(stack)
-        out.append((fwd.z_refs[-1].data, fwd.control.data))
+        with no_grad():
+            fwd = model.forward(stack)
+        out.append((fwd.z_last.data, fwd.control.data))
     if not out:
         raise ValueError("no subject has enough visits for one window")
     return out
@@ -131,19 +134,13 @@ def verify_bound(model: NkmModel | EdmdModel, table: VisitTable,
     if norm_k >= 1.0:
         raise ValueError(f"bound requires ||K||_2 < 1, measured {norm_k:.6g}")
 
-    eps = 0.0
-    for Z, C in seqs:
-        step = Z[:-1] @ K.T
-        if C is not None:
-            step = step + C[:-1]
-        r = Z[1:] - step
-        if r.shape[0] > 0:
-            eps = max(eps, float(np.max(np.sqrt(np.sum(r * r, axis=1)))))
-
     longest = max(Z.shape[0] for Z, _ in seqs)
     if longest < tau_max + 1:
         raise ValueError(f"tau_max={tau_max} needs a sequence of "
                          f"{tau_max + 1} lifted states; longest is {longest}")
+    # same association as the tau = 1 rollout below, so empirical[0] == eps
+    eps = max(measure_eps(Z[:-1], Z[1:], K, None if C is None else C[:-1])
+              for Z, C in seqs if Z.shape[0] > 1)
 
     empirical = []
     for tau in range(1, tau_max + 1):
@@ -203,7 +200,7 @@ def verify_descent(model: NkmModel, windows: Windows,
         # backtracking probes oversized steps on purpose; overflow there is
         # data, not an error
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"), no_grad():
                 total, _, _ = composite_loss(model, X, y, loss_cfg)
             return float(total.data)
         except RuntimeError:
@@ -247,9 +244,7 @@ def verify_descent(model: NkmModel, windows: Windows,
 
         # K half-step: closed-form covariance gradient, then projection
         with np.errstate(over="ignore", invalid="ignore"):
-            fwd = model.forward(X)
-            covs = koopman_covariances([z.data for z in fwd.z_refs],
-                                       fwd.control.data)
+            covs = model_covariances(model, X)
             gk = koopman_grad_closed_form(model.K.data, covs,
                                           loss_cfg.lambda_koop)
         k_saved = model.K.data.copy()
@@ -286,8 +281,9 @@ def rollout_latents(model: NkmModel, windows: Windows, steps: int = 5
     z <- K z + c, reusing the window's own control at every step."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    fwd = model.forward(windows.X)
-    z = fwd.z_refs[-1].data
+    with no_grad():
+        fwd = model.forward(windows.X)
+    z = fwd.z_last.data
     c = fwd.control.data
     K = model.K.data
     out = np.empty((z.shape[0], steps + 1, z.shape[1]))
@@ -393,7 +389,8 @@ def feature_importance(table: VisitTable, runs: int = 50, seed: int = 0,
         if train_models:
             train(model, fold.train, fold.val, optim_cfg, loss_cfg, seed=rs)
 
-        fwd = model.forward(fold.test.X)
+        with no_grad():
+            fwd = model.forward(fold.test.X)
         beta_sum += fwd.beta.mean(axis=0)
         base_r = evaluate_predictions(fold.test.y, fwd.pred.data,
                                       targets).pearson

@@ -292,6 +292,8 @@ def _cmd_verify_bound(cfg: dict, out_dir: Path) -> None:
 
 
 def _cmd_verify_descent(cfg: dict, out_dir: Path) -> None:
+    """Full-batch descent check. The Preprocessor is fitted on every row on
+    purpose: the check runs on one fixed batch and scores nothing held out."""
     table, _ = _load_table(cfg)
     pre = Preprocessor().fit(table.X)
     prepped = table.with_features(pre.transform(table.X))

@@ -71,18 +71,23 @@ class RbfDictionary:
             raise ValueError("rows must match the dictionary's feature width")
         if not np.all(np.isfinite(X)):
             raise ValueError("lift input contains non-finite entries")
-        parts = []
-        if self.centers.shape[0] > 0:
-            d2 = (np.sum(X * X, axis=1)[:, None]
-                  + np.sum(self.centers * self.centers, axis=1)[None, :]
-                  - 2.0 * X @ self.centers.T)
-            np.maximum(d2, 0.0, out=d2)
-            parts.append(np.exp(-d2 / (2.0 * self.bandwidth ** 2)))
+        # built in place in the output: a fit lifts thousands of rows, and
+        # each (rows, centers) temporary costs the process fresh pages
+        n_c, d = self.centers.shape
+        out = np.empty((X.shape[0], self.lifted_dim))
+        if n_c > 0:
+            rbf = out[:, :n_c]
+            np.add(np.sum(X * X, axis=1)[:, None],
+                   np.sum(self.centers * self.centers, axis=1)[None, :], out=rbf)
+            rbf -= 2.0 * X @ self.centers.T
+            np.maximum(rbf, 0.0, out=rbf)
+            rbf /= -2.0 * self.bandwidth ** 2
+            np.exp(rbf, out=rbf)
         if self.include_identity:
-            parts.append(X)
+            out[:, n_c:n_c + d] = X
         if self.include_constant:
-            parts.append(np.ones((X.shape[0], 1)))
-        return np.concatenate(parts, axis=1)
+            out[:, -1] = 1.0
+        return out
 
 
 def fit_dictionary(X: np.ndarray, cfg: EdmdConfig) -> RbfDictionary:

@@ -9,8 +9,10 @@ Per window of w standardized visits the model computes
     y_hat = decode(K z_last^ref + c_t)
 c_time attends over the w refined states (n_heads column blocks of one Q, K
 and V projection each), c_feat over the G group embeddings, both in `_attend`.
-All array math runs on the autodiff tape; diagnostics (attention weights,
-gate) are detached copies.
+One forward pass encodes and refines all B*w visits of a batch at once, as
+visit-major rows: row t*B + b is visit t of window b. All array math runs on
+the autodiff tape; diagnostics (attention weights, gate) are detached copies.
+`predict` runs under `no_grad` and builds no tape.
 """
 from __future__ import annotations
 
@@ -21,10 +23,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import schema
-from .linalg import clip_singular_values, power_iteration_norm, spectral_scale
+from .linalg import clip_singular_values, spectral_scale
 from .optim import ParamStore
 from .tensor import (Tensor, add, concat, div, exp, layer_norm, matmul, mul,
-                     reshape, sigmoid, silu, sub, tsum, transpose)
+                     no_grad, reshape, sigmoid, silu, sub, take_rows, tmean,
+                     tsum, transpose)
 
 _CHECKPOINT_FORMAT = 2  # 2: temporal Q/K/V stored as stacked per-head blocks
 
@@ -127,10 +130,17 @@ class ForwardOut:
     pred: Tensor                 # (B, 3)
     control: Tensor              # (B, d_z)
     z_next: Tensor               # (B, d_z) = K z_last + c
-    z_refs: list[Tensor]         # per timestep (B, d_z)
+    z: Tensor                    # (w*B, d_z) refined, row t*B + b = visit t of window b
+    z_last: Tensor               # (B, d_z) the rows of visit w-1
     alpha: np.ndarray            # (B, n_heads, w) temporal weights
     beta: np.ndarray             # (B, n_groups) feature weights
     gate: np.ndarray             # (B, d_z)
+
+
+def transition_rows(n_rows: int, B: int) -> tuple[slice, slice]:
+    """(rows of z_t, rows of z_{t+1}) over every in-window transition of
+    visit-major latents like `ForwardOut.z`."""
+    return slice(0, n_rows - B), slice(B, n_rows)
 
 
 class NkmModel:
@@ -266,26 +276,23 @@ class NkmModel:
         return (reshape(ctx, (B, heads * e)),
                 weights.data[..., 0].transpose(1, 2, 0).copy())
 
-    def temporal_context(self, z_refs: list[Tensor]) -> tuple[Tensor, np.ndarray]:
-        """Attention over the window's refined states, query = final state.
+    def temporal_context(self, z: Tensor, z_last: Tensor
+                         ) -> tuple[Tensor, np.ndarray]:
+        """Attention over the window's refined states z (visit-major rows),
+        query = final state z_last.
 
         Returns (c_time, alpha) with alpha of shape (B, n_heads, w).
         """
         a = self.arch
-        w = len(z_refs)
-        B = z_refs[0].data.shape[0]
-        z_last = z_refs[-1]
+        B = z_last.data.shape[0]
+        w = z.data.shape[0] // B
         if self.ablation.no_temporal_attention:
-            c = z_refs[0]
-            for z in z_refs[1:]:
-                c = add(c, z)
-            c = mul(c, 1.0 / w)
+            c = tmean(reshape(z, (w, B, a.d_z)), axis=0)
             return c, np.full((B, a.n_heads, w), 1.0 / w)
 
-        zs = concat(z_refs, axis=0)
         q = matmul(z_last, self.params["attn_t.q.W"])
-        ctx, alpha = self._attend(q, matmul(zs, self.params["attn_t.k.W"]),
-                                  matmul(zs, self.params["attn_t.v.W"]),
+        ctx, alpha = self._attend(q, matmul(z, self.params["attn_t.k.W"]),
+                                  matmul(z, self.params["attn_t.v.W"]),
                                   w, a.n_heads)
         return matmul(ctx, self.params["attn_t.out.W"]), alpha
 
@@ -296,24 +303,22 @@ class NkmModel:
         Returns (c_feat, beta) with beta of shape (B, n_groups).
         """
         groups = self.arch.groups
-        vals = [matmul(embeds[g], self.params[f"attn_f.val.{g}.W"]) for g in groups]
+        G = len(groups)
+        B = z_last.data.shape[0]
+        vals = concat([matmul(embeds[g], self.params[f"attn_f.val.{g}.W"])
+                       for g in groups], axis=0)
         if self.ablation.no_feature_attention:
-            c = vals[0]
-            for v in vals[1:]:
-                c = add(c, v)
-            c = mul(c, 1.0 / len(groups))
-            B = z_last.data.shape[0]
-            return c, np.full((B, len(groups)), 1.0 / len(groups))
+            c = tmean(reshape(vals, (G, B, self.arch.d_z)), axis=0)
+            return c, np.full((B, G), 1.0 / G)
         q = matmul(z_last, self.params["attn_f.q.W"])
         keys = concat([matmul(embeds[g], self.params[f"attn_f.key.{g}.W"])
                        for g in groups], axis=0)
-        c, beta = self._attend(q, keys, concat(vals, axis=0), len(groups), 1)
+        c, beta = self._attend(q, keys, vals, G, 1)
         return c, beta[:, 0, :]
 
-    def control(self, z_refs: list[Tensor], embeds_last: dict[str, Tensor]
+    def control(self, z: Tensor, z_last: Tensor, embeds_last: dict[str, Tensor]
                 ) -> tuple[Tensor, np.ndarray, np.ndarray, np.ndarray]:
         """Gated mix of temporal and feature contexts; (c, alpha, beta, gate)."""
-        z_last = z_refs[-1]
         B = z_last.data.shape[0]
         a = self.arch
         if self.ablation.no_control:
@@ -321,7 +326,7 @@ class NkmModel:
             return (zero, np.full((B, a.n_heads, a.window), 1.0 / a.window),
                     np.full((B, len(a.groups)), 1.0 / len(a.groups)),
                     np.full((B, a.d_z), 0.5))
-        c_time, alpha = self.temporal_context(z_refs)
+        c_time, alpha = self.temporal_context(z, z_last)
         c_feat, beta = self.feature_context(z_last, embeds_last)
         gin = concat([z_last, c_time], axis=1)
         gate = sigmoid(add(matmul(gin, self.params["gate.W"]), self.params["gate.b"]))
@@ -352,25 +357,24 @@ class NkmModel:
         if X.ndim != 3 or X.shape[1] != a.window or X.shape[2] != schema.N_FEATURES:
             raise ValueError(f"expected windows (B, {a.window}, {schema.N_FEATURES}), "
                              f"got {X.shape}")
-        z_refs: list[Tensor] = []
-        embeds_last: dict[str, Tensor] = {}
-        for t in range(a.window):
-            z_enc, embeds = self.encode_rows(X[:, t, :], train=train, rng=rng)
-            z_refs.append(self.refine(z_enc, train=train, rng=rng))
-            if t == a.window - 1:
-                embeds_last = embeds
-        c, alpha, beta, gate = self.control(z_refs, embeds_last)
-        z_next = self.koopman_step(z_refs[-1], c)
+        B = X.shape[0]
+        rows = X.transpose(1, 0, 2).reshape(a.window * B, schema.N_FEATURES)
+        z_enc, embeds = self.encode_rows(rows, train=train, rng=rng)
+        z = self.refine(z_enc, train=train, rng=rng)
+        last = slice((a.window - 1) * B, None)
+        z_last = take_rows(z, last)
+        embeds_last = {g: take_rows(h, last) for g, h in embeds.items()}
+        c, alpha, beta, gate = self.control(z, z_last, embeds_last)
+        z_next = self.koopman_step(z_last, c)
         pred = self.decode(z_next, train=train, rng=rng)
-        return ForwardOut(pred, c, z_next, z_refs, alpha, beta, gate)
+        return ForwardOut(pred, c, z_next, z, z_last, alpha, beta, gate)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.forward(X).pred.data.copy()
+        """Eval-mode predictions (B, 3); builds no tape."""
+        with no_grad():
+            return self.forward(X).pred.data
 
     # ---- spectral control ----------------------------------------------
-
-    def spectral_norm(self, iters: int = 50) -> float:
-        return power_iteration_norm(self.K.data, iters=iters)
 
     def project_spectral(self, rho: float = 0.95) -> None:
         """Hard projection K <- K / max(1, ||K||_2 / rho), exact norm."""

@@ -2,9 +2,13 @@
 
 Small tape: each Tensor remembers its parents and a closure that routes the
 upstream gradient to them. Everything is float64; shapes follow numpy
-broadcasting for elementwise ops, matmul is strictly 2-D.
+broadcasting for elementwise ops, matmul is strictly 2-D. Inside `no_grad()`
+ops compute values only and record nothing.
 """
 from __future__ import annotations
+
+import threading
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -105,8 +109,28 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+class _TapeMode(threading.local):
+    # per thread, so a predict in one thread cannot turn off the tape of a
+    # training step in another
+    recording = True
+
+
+_mode = _TapeMode()
+
+
+@contextmanager
+def no_grad():
+    """Record no tape inside the block: every op result has no parents and
+    needs no gradient, so nothing can be backpropagated through it."""
+    saved, _mode.recording = _mode.recording, False
+    try:
+        yield
+    finally:
+        _mode.recording = saved
+
+
 def _make(data, parents, backward) -> Tensor:
-    req = any(p.requires_grad for p in parents)
+    req = _mode.recording and any(p.requires_grad for p in parents)
     return Tensor(data, requires_grad=req,
                   _parents=tuple(parents) if req else (),
                   _backward=backward if req else None)
@@ -325,6 +349,19 @@ def reshape(a, shape) -> Tensor:
             a._accumulate(g.reshape(a.data.shape))
 
     return _make(a.data.reshape(shape), (a,), backward)
+
+
+def take_rows(a, rows: slice) -> Tensor:
+    """The block a[rows] along axis 0."""
+    a = as_tensor(a)
+
+    def backward(g):
+        if a.requires_grad:
+            full = np.zeros_like(a.data)
+            full[rows] = g
+            a._accumulate(full)
+
+    return _make(a.data[rows], (a,), backward)
 
 
 def concat(parts: list[Tensor], axis: int) -> Tensor:

@@ -14,15 +14,17 @@ covariance gradient of lambda * L_koop and projects it to ||K||_2 <= rho.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .data import FoldData, VisitTable, Windows, materialize_fold, subject_kfold
 from .linalg import pinv, spectral_norm_differentiable
-from .model import ABLATION_SETUPS, AblationFlags, ArchConfig, NkmModel
+from .model import (ABLATION_SETUPS, AblationFlags, ArchConfig, NkmModel,
+                    transition_rows)
 from .optim import AdamW, EarlyStopper, OptimConfig, PlateauScheduler, clip_global_norm
-from .tensor import Tensor, add, mul, relu, square, sub, tsum
+from .tensor import (Tensor, add, matmul, mul, no_grad, relu, reshape, square,
+                     sub, take_rows, transpose, tsum)
 
 
 @dataclass
@@ -31,7 +33,6 @@ class LossConfig:
     eta: float = 0.01
     rho: float = 0.95
     power_iters: int = 10
-    power_seed: int = 0
 
     def __post_init__(self):
         if self.lambda_koop < 0 or self.eta < 0:
@@ -60,19 +61,17 @@ def composite_loss(model: NkmModel, X: np.ndarray, y: np.ndarray,
     diff = sub(fwd.pred, Tensor(y))
     l_pred = mul(tsum(square(diff)), 1.0 / X.shape[0])
 
-    w = model.arch.window
     B = X.shape[0]
-    resid_sq = None
-    for t in range(w - 1):
-        r = sub(fwd.z_refs[t + 1], model.koopman_step(fwd.z_refs[t], fwd.control))
-        s = tsum(square(r))
-        resid_sq = s if resid_sq is None else add(resid_sq, s)
-    l_koop = mul(resid_sq, 1.0 / (B * (w - 1)))
+    prev, nxt = transition_rows(fwd.z.data.shape[0], B)
+    pairs = (-1, B, model.arch.d_z)              # (transition, window, d_z)
+    step = add(reshape(matmul(take_rows(fwd.z, prev), transpose(model.K)), pairs),
+               fwd.control)
+    r = sub(reshape(take_rows(fwd.z, nxt), pairs), step)
+    l_koop = mul(tsum(square(r)), 1.0 / (r.data.shape[0] * B))   # B*(w-1) pairs
 
     eta = 0.0 if model.ablation.no_spectral_reg else cfg.eta
     if eta > 0.0:
-        sig = spectral_norm_differentiable(model.K, iters=cfg.power_iters,
-                                           seed=cfg.power_seed)
+        sig = spectral_norm_differentiable(model.K, iters=cfg.power_iters)
         hinge = relu(sub(square(sig), cfg.rho ** 2))
         r_spec = mul(square(hinge), eta)
     else:
@@ -89,20 +88,23 @@ def composite_loss(model: NkmModel, X: np.ndarray, y: np.ndarray,
 
 # ---- covariance-form updates ---------------------------------------------
 
-def koopman_covariances(z_refs: list[np.ndarray], control: np.ndarray
+def koopman_covariances(z: np.ndarray, control: np.ndarray
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack in-window transitions into (C_zz, C_z'z, C_cz), each averaged
+    """(C_zz, C_z'z, C_cz) of the in-window transitions of visit-major
+    latents z (w*B, d_z) under per-window controls (B, d_z), each averaged
     over the M = B*(w-1) pairs."""
-    Zt = np.concatenate(z_refs[:-1], axis=0)
-    Zn = np.concatenate(z_refs[1:], axis=0)
-    Cc = np.tile(control, (len(z_refs) - 1, 1))
+    B = control.shape[0]
+    prev, nxt = transition_rows(z.shape[0], B)
+    Zt, Zn = z[prev], z[nxt]
     M = Zt.shape[0]
+    Cc = np.tile(control, (M // B, 1))
     return Zt.T @ Zt / M, Zn.T @ Zt / M, Cc.T @ Zt / M
 
 
 def model_covariances(model: NkmModel, X: np.ndarray):
-    fwd = model.forward(X)
-    return koopman_covariances([z.data for z in fwd.z_refs], fwd.control.data)
+    with no_grad():
+        fwd = model.forward(X)
+    return koopman_covariances(fwd.z.data, fwd.control.data)
 
 
 def koopman_grad_closed_form(K: np.ndarray, covs, lambda_koop: float) -> np.ndarray:
@@ -143,7 +145,8 @@ class TrainResult:
 
 
 def _val_loss(model: NkmModel, windows: Windows, cfg: LossConfig) -> float:
-    total, _, _ = composite_loss(model, windows.X, windows.y, cfg)
+    with no_grad():
+        total, _, _ = composite_loss(model, windows.X, windows.y, cfg)
     return float(total.data)
 
 
@@ -190,8 +193,7 @@ def train(model: NkmModel, train_windows: Windows, val_windows: Windows,
             clip_global_norm(model.params, optim_cfg.clip_norm)
             opt.step()
             if mode == "alternating":
-                covs = koopman_covariances([z.data for z in fwd.z_refs],
-                                           fwd.control.data)
+                covs = koopman_covariances(fwd.z.data, fwd.control.data)
                 g = koopman_grad_closed_form(model.K.data, covs,
                                              loss_cfg.lambda_koop)
                 model.K.data = model.K.data - _safe_koopman_step_size(

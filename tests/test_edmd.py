@@ -31,6 +31,22 @@ class TestDictionary:
         assert np.allclose(np.diag(lifted), 1.0, atol=1e-12)
         assert np.all(lifted <= 1.0 + 1e-12)
 
+    @pytest.mark.parametrize("identity", [False, True])
+    @pytest.mark.parametrize("constant", [False, True])
+    def test_lift_matches_pairwise_reference(self, identity, constant):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(25, 6))
+        d = fit_dictionary(X, EdmdConfig(n_centers=8, include_identity=identity,
+                                         include_constant=constant, seed=2))
+        Z = rng.normal(size=(11, 6))
+        sq = np.array([[np.sum((z - c) ** 2) for c in d.centers] for z in Z])
+        blocks = [np.exp(-sq / (2.0 * d.bandwidth ** 2))]
+        if identity:
+            blocks.append(Z)
+        if constant:
+            blocks.append(np.ones((11, 1)))
+        assert np.allclose(d.lift(Z), np.hstack(blocks), rtol=0.0, atol=1e-12)
+
     def test_lifted_dim_counts(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(30, 7))

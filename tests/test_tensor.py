@@ -1,6 +1,8 @@
 """Gradient checks for the autodiff tape against central finite differences."""
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,15 @@ class TestLayerNormConcat:
             lambda x: T.tsum(T.mul(T.square(
                 T.concat([T.Tensor(c0), x, T.sigmoid(x)], axis=axis)), w0)), x0)
 
+    def test_take_rows(self):
+        # overlapping blocks of the same tensor, one 3-D: gradients add up
+        x0 = RNG.standard_normal((6, 2, 2))
+        w0 = RNG.standard_normal((4, 2, 2))
+        check_against_fd(
+            lambda x: T.tsum(T.mul(T.add(T.square(T.take_rows(x, slice(0, 4))),
+                                         T.take_rows(x, slice(2, None))), w0)),
+            x0)
+
 
 class TestTapeMechanics:
     def test_grad_accumulates_on_reuse(self):
@@ -204,3 +215,27 @@ class TestTapeMechanics:
         out = T.mul(a, b)  # 6 x^2 -> grad 12 x
         out.backward()
         assert np.isclose(float(x.grad), 18.0)
+
+    def test_no_grad_records_no_tape(self):
+        x = T.Tensor(np.ones((2, 3)), requires_grad=True)
+        with T.no_grad():
+            y = T.tsum(T.silu(T.matmul(x, T.transpose(x))))
+        assert not y.requires_grad and y._parents == () and y._backward is None
+        assert np.isclose(y.item(), 4 * 3.0 / (1.0 + np.exp(-3.0)))  # 2x2 of silu(3)
+        # recording resumes after the block, also when it is left by an error
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError("leave the block")
+        z = T.mul(x, 2.0)
+        assert z.requires_grad and z._parents
+
+    def test_no_grad_is_per_thread(self):
+        x = T.Tensor(np.ones(2), requires_grad=True)
+        seen = []
+        worker = threading.Thread(
+            target=lambda: seen.append(T.mul(x, 2.0).requires_grad))
+        with T.no_grad():
+            worker.start()
+            worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert seen == [True]

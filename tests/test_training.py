@@ -73,7 +73,7 @@ class TestCompositeLoss:
         _, parts, fwd = composite_loss(model, X, y, LossConfig())
         K = model.K.data
         c = fwd.control.data
-        z = [t.data for t in fwd.z_refs]
+        z = fwd.z.data.reshape(model.arch.window, X.shape[0], -1)
         acc = 0.0
         for t in range(len(z) - 1):
             r = z[t + 1] - (z[t] @ K.T + c)
@@ -139,18 +139,18 @@ class TestKoopmanClosedForm:
         X, _ = tiny_batch(rng, B=7)
         lam = 0.37
         fwd = model.forward(X)
-        from nkm.tensor import add, square, sub, tsum
+        from nkm.tensor import add, square, sub, take_rows, tsum
+        B, w = X.shape[0], model.arch.window
+        zs = [take_rows(fwd.z, slice(t * B, (t + 1) * B)) for t in range(w)]
         acc = None
-        for t in range(model.arch.window - 1):
-            r = sub(fwd.z_refs[t + 1],
-                    model.koopman_step(fwd.z_refs[t], fwd.control))
+        for t in range(w - 1):
+            r = sub(zs[t + 1], model.koopman_step(zs[t], fwd.control))
             s = tsum(square(r))
             acc = s if acc is None else add(acc, s)
-        loss = mul(acc, lam / (X.shape[0] * (model.arch.window - 1)))
+        loss = mul(acc, lam / (B * (w - 1)))
         model.params.zero_grad()
         loss.backward()
-        covs = koopman_covariances([z.data for z in fwd.z_refs],
-                                   fwd.control.data)
+        covs = koopman_covariances(fwd.z.data, fwd.control.data)
         want = koopman_grad_closed_form(model.K.data, covs, lam)
         assert np.max(np.abs(model.K.grad - want)) < 1e-10
 
@@ -160,7 +160,7 @@ class TestKoopmanClosedForm:
         d = 5
         z_refs = [rng.normal(size=(11, d)) for _ in range(3)]
         c = rng.normal(size=(11, d))
-        covs = koopman_covariances(z_refs, c)
+        covs = koopman_covariances(np.concatenate(z_refs), c)
         lam = 0.1
 
         def loss_at(K):
@@ -184,7 +184,7 @@ class TestKoopmanClosedForm:
         d = 6
         z_refs = [rng.normal(size=(40, d)) for _ in range(3)]
         c = rng.normal(size=(40, d))
-        covs = koopman_covariances(z_refs, c)
+        covs = koopman_covariances(np.concatenate(z_refs), c)
         k_star = koopman_fixed_point(covs)
         g = koopman_grad_closed_form(k_star, covs, 0.1)
         assert np.max(np.abs(g)) < 1e-10
