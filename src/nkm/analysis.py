@@ -90,19 +90,17 @@ def _nkm_sequences(model: NkmModel, table: VisitTable
     if not np.all(np.isfinite(table.X)):
         raise ValueError("bound harness requires imputed (finite) features")
     w = model.arch.window
-    out = []
+    windows, counts = [], []
     for rows in table.subject_rows().values():
-        V = rows.size
-        if V < w:
-            continue
-        stack = np.stack([table.X[rows[e - w + 1:e + 1]]
-                          for e in range(w - 1, V)], axis=0)
-        with no_grad():
-            fwd = model.forward(stack)
-        out.append((fwd.z_last.data, fwd.control.data))
-    if not out:
+        if rows.size >= w:
+            windows += [table.X[rows[e - w + 1:e + 1]] for e in range(w - 1, rows.size)]
+            counts.append(rows.size - w + 1)
+    if not counts:
         raise ValueError("no subject has enough visits for one window")
-    return out
+    with no_grad():
+        fwd = model.forward(np.stack(windows))
+    cuts = np.cumsum(counts)[:-1]
+    return list(zip(np.split(fwd.z_last.data, cuts), np.split(fwd.control.data, cuts)))
 
 
 def _edmd_sequences(model: EdmdModel, table: VisitTable

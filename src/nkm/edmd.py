@@ -9,6 +9,7 @@ advances tau steps, and applies the readout.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -214,7 +215,7 @@ class EdmdModel:
 # ---- checkpointing (same manifest + raw float64 scheme as the NKM) --------
 
 _EDMD_ARRAYS = ("centers", "K", "readout")
-_EDMD_FORMAT = 1
+_EDMD_FORMAT = 2  # 2: the manifest holds the sha256 of the .bin
 
 
 def save_edmd(model: EdmdModel, stem: str | Path) -> None:
@@ -222,6 +223,8 @@ def save_edmd(model: EdmdModel, stem: str | Path) -> None:
     stem = Path(stem)
     arrays = {"centers": model.dictionary.centers, "K": model.K,
               "readout": model.readout}
+    flat = np.concatenate([arrays[k].ravel() for k in _EDMD_ARRAYS])
+    raw = flat.astype("<f8").tobytes()
     manifest = {
         "format_version": _EDMD_FORMAT,
         "kind": "edmd",
@@ -230,11 +233,11 @@ def save_edmd(model: EdmdModel, stem: str | Path) -> None:
         "include_identity": model.dictionary.include_identity,
         "include_constant": model.dictionary.include_constant,
         "array_shapes": {k: list(arrays[k].shape) for k in _EDMD_ARRAYS},
+        "bin_sha256": hashlib.sha256(raw).hexdigest(),
     }
     stem.with_suffix(".json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    flat = np.concatenate([arrays[k].ravel() for k in _EDMD_ARRAYS])
-    flat.astype("<f8").tofile(stem.with_suffix(".bin"))
+    stem.with_suffix(".bin").write_bytes(raw)
 
 
 def load_edmd(stem: str | Path) -> EdmdModel:
@@ -250,7 +253,11 @@ def load_edmd(stem: str | Path) -> EdmdModel:
         raise ValueError(f"EDMD checkpoint format_version {version} is not "
                          f"readable; this version reads format_version {_EDMD_FORMAT}")
     shapes = {k: tuple(v) for k, v in manifest["array_shapes"].items()}
-    flat = np.fromfile(bpath, dtype="<f8")
+    raw = bpath.read_bytes()
+    if hashlib.sha256(raw).hexdigest() != manifest["bin_sha256"]:
+        raise ValueError(f"checkpoint binary {bpath} does not match the sha256 "
+                         "in its manifest")
+    flat = np.frombuffer(raw, dtype="<f8")
     want = sum(int(np.prod(s)) for s in shapes.values())
     if flat.size != want:
         raise ValueError(f"binary holds {flat.size} values, manifest says {want}")

@@ -16,6 +16,7 @@ the autodiff tape; diagnostics (attention weights, gate) are detached copies.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -29,7 +30,9 @@ from .tensor import (Tensor, add, concat, div, exp, layer_norm, matmul, mul,
                      no_grad, reshape, sigmoid, silu, sub, take_rows, tmean,
                      tsum, transpose)
 
-_CHECKPOINT_FORMAT = 2  # 2: temporal Q/K/V stored as stacked per-head blocks
+# 2: temporal Q/K/V stored as stacked per-head blocks; 3: the manifest holds
+# the sha256 of the .bin
+_CHECKPOINT_FORMAT = 3
 
 _DESK_HIDDEN = {"genetic": (12, 8), "csf": (12, 8), "pet": (12, 8),
                 "mri": (24, 12), "demo": (12, 8)}
@@ -387,7 +390,8 @@ def save_checkpoint(model: NkmModel, stem: str,
                     history: list[dict] | None = None,
                     extra: dict | None = None) -> tuple[str, str]:
     """Write `<stem>.json` (manifest) and `<stem>.bin` (little-endian float64,
-    declaration order). Returns the two paths."""
+    declaration order, its sha256 in the manifest). Returns the two paths."""
+    raw = model.params.to_vector().astype("<f8").tobytes()
     manifest = {
         "format_version": _CHECKPOINT_FORMAT,
         "arch": asdict(model.arch),
@@ -396,6 +400,7 @@ def save_checkpoint(model: NkmModel, stem: str,
         "param_names": model.params.names(),
         "param_shapes": {k: list(t.data.shape) for k, t in model.params.items()},
         "n_values": model.params.n_values(),
+        "bin_sha256": hashlib.sha256(raw).hexdigest(),
         "history": history if history is not None else [],
     }
     if extra:
@@ -404,7 +409,8 @@ def save_checkpoint(model: NkmModel, stem: str,
     with open(json_path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    model.params.to_vector().astype("<f8").tofile(bin_path)
+    with open(bin_path, "wb") as fh:
+        fh.write(raw)
     return json_path, bin_path
 
 
@@ -428,7 +434,12 @@ def load_checkpoint(stem: str) -> tuple[NkmModel, dict]:
                      ablation=AblationFlags(**manifest["ablation"]))
     if model.params.names() != manifest["param_names"]:
         raise ValueError("checkpoint parameter names do not match the architecture")
-    vec = np.fromfile(bin_path, dtype="<f8")
+    with open(bin_path, "rb") as fh:
+        raw = fh.read()
+    if hashlib.sha256(raw).hexdigest() != manifest["bin_sha256"]:
+        raise ValueError(f"checkpoint binary {bin_path} does not match the "
+                         "sha256 in its manifest")
+    vec = np.frombuffer(raw, dtype="<f8")
     if vec.size != manifest["n_values"]:
         raise ValueError(f"checkpoint binary has {vec.size} values, manifest "
                          f"says {manifest['n_values']}")

@@ -6,16 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from nkm.analysis import (BoundReport, bound_limit, export_latents,
+from nkm.analysis import (BoundReport, _nkm_sequences, bound_limit, export_latents,
                           feature_importance, fit_pca, geometric_bound,
                           measure_eps, rollout_latents, verify_bound,
                           verify_descent, write_latents_csv)
-from nkm.data import build_windows, materialize_fold
+from nkm.data import VisitTable, build_windows, materialize_fold
 from nkm.edmd import EdmdConfig, EdmdModel
-from nkm.model import AblationFlags, ArchConfig, NkmModel
+from nkm.model import AblationFlags, ArchConfig, NkmModel, full_arch
 from nkm.optim import OptimConfig
 from nkm.schema import FEATURE_COLUMNS, GROUP_COLUMNS
 from nkm.synthetic import SyntheticConfig, generate_synthetic
+from nkm.tensor import no_grad
 from nkm.training import LossConfig
 
 
@@ -120,6 +121,41 @@ class TestVerifyBound:
         assert all(b <= report.limit + 1e-12 for b in report.bound)
         assert all(b >= a for a, b in zip(report.bound, report.bound[1:]))
         assert math.isfinite(report.lambda_max)
+
+    @pytest.mark.parametrize("arch, atol", [
+        (ArchConfig(d_z=16, n_heads=4, dropout=0.05), 0.0),
+        (full_arch(), 1e-12)])
+    def test_sequences_match_per_subject_forward(self, arch, atol):
+        # one forward over every subject's windows, split by subject, against
+        # one forward per subject: bitwise at desk size, BLAS rounding at 360
+        full = long_cohort(seed=3, n_subjects=7, visits=6, missing_rate=0.2)
+        first = full.subject_ids[0]
+        keep = np.array([s != first or v < 2     # too short for one window
+                         for s, v in zip(full.subject_ids, full.visits)])
+        table = VisitTable([s for s, k in zip(full.subject_ids, keep) if k],
+                           full.visits[keep], full.X[keep], full.Y[keep])
+        fold = materialize_fold(table, table.unique_subjects()[:1], seed=0)
+        table = table.with_features(fold.preprocessor.transform(table.X))
+        model = NkmModel(arch, seed=4)
+        w = arch.window
+        want = []
+        for rows in table.subject_rows().values():
+            if rows.size >= w:
+                stack = np.stack([table.X[rows[e - w + 1:e + 1]]
+                                  for e in range(w - 1, rows.size)])
+                with no_grad():
+                    fwd = model.forward(stack)
+                want.append((fwd.z_last.data, fwd.control.data))
+        calls = []
+        forward = model.forward
+        model.forward = lambda *a, **kw: calls.append(1) or forward(*a, **kw)
+        got = _nkm_sequences(model, table)
+        assert len(calls) == 1
+        assert len(got) == len(want) == 6
+        for (z, c), (z_ref, c_ref) in zip(got, want):
+            assert z.shape == z_ref.shape and c.shape == c_ref.shape
+            assert np.allclose(z, z_ref, rtol=0.0, atol=atol)
+            assert np.allclose(c, c_ref, rtol=0.0, atol=atol)
 
     def test_unprojected_norm_raises_domain_error(self):
         table = long_cohort(seed=1)

@@ -271,7 +271,30 @@ class TestCheckpoint:
         manifest = json.loads(stem.with_suffix(".json").read_text())
         manifest["format_version"] = 99
         stem.with_suffix(".json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="format_version 99 .* format_version 1"):
+        with pytest.raises(ValueError, match="format_version 99 .* format_version 2"):
+            load_edmd(stem)
+
+    def test_flipped_byte_rejected(self, tmp_path):
+        # same size, one value changed: only the digest can tell
+        table, _ = linear_cohort(seed=13)
+        stem = tmp_path / "edmd"
+        save_edmd(EdmdModel(EdmdConfig(n_centers=2, seed=0)).fit(table), stem)
+        raw = bytearray(stem.with_suffix(".bin").read_bytes())
+        raw[len(raw) // 2] ^= 0x01
+        stem.with_suffix(".bin").write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="sha256"):
+            load_edmd(stem)
+
+    def test_version_one_manifest_rejected(self, tmp_path):
+        # version 1 manifests carry no digest of the .bin
+        table, _ = linear_cohort(seed=14)
+        stem = tmp_path / "edmd"
+        save_edmd(EdmdModel(EdmdConfig(n_centers=2, seed=0)).fit(table), stem)
+        manifest = json.loads(stem.with_suffix(".json").read_text())
+        manifest.pop("bin_sha256", None)
+        manifest["format_version"] = 1
+        stem.with_suffix(".json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="format_version 1 .* format_version 2"):
             load_edmd(stem)
 
     def test_missing_files_rejected(self, tmp_path):

@@ -399,7 +399,28 @@ class TestCheckpoint:
         manifest = json.loads(open(json_path).read())
         manifest["format_version"] = 99
         open(json_path, "w").write(json.dumps(manifest))
-        with pytest.raises(ValueError, match="format_version 99 .* format_version 2"):
+        with pytest.raises(ValueError, match="format_version 99 .* format_version 3"):
+            load_checkpoint(stem)
+
+    def test_flipped_byte_rejected(self, tmp_path):
+        # same size, one value changed: only the digest can tell
+        stem = str(tmp_path / "ckpt")
+        _, bin_path = save_checkpoint(NkmModel(tiny_arch(), seed=0), stem)
+        raw = bytearray(open(bin_path, "rb").read())
+        raw[len(raw) // 2] ^= 0x01
+        open(bin_path, "wb").write(bytes(raw))
+        with pytest.raises(ValueError, match="sha256"):
+            load_checkpoint(stem)
+
+    def test_version_two_manifest_rejected(self, tmp_path):
+        # version 2 manifests carry no digest of the .bin
+        stem = str(tmp_path / "ckpt")
+        json_path, _ = save_checkpoint(NkmModel(tiny_arch(), seed=0), stem)
+        manifest = json.loads(open(json_path).read())
+        manifest.pop("bin_sha256", None)
+        manifest["format_version"] = 2
+        open(json_path, "w").write(json.dumps(manifest))
+        with pytest.raises(ValueError, match="format_version 2 .* format_version 3"):
             load_checkpoint(stem)
 
     def test_version_one_checkpoint_rejected(self, tmp_path):
