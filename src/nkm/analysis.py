@@ -29,6 +29,7 @@ from .training import (LossConfig, composite_loss, evaluate_predictions,
 IMPORTANCE_METHOD = ("permutation importance: mean Pearson-r drop across the "
                      "three scores when one feature column is shuffled across "
                      "test windows; feature-attention weights reported alongside")
+_MAX_HALVINGS = 40   # step halvings verify_descent tries before rejecting a step
 
 
 # ---- geometric bound -------------------------------------------------------
@@ -185,8 +186,7 @@ class DescentReport:
 def verify_descent(model: NkmModel, windows: Windows,
                    loss_cfg: LossConfig | None = None, iters: int = 50,
                    theta_step: float = 1e-2, k_step: float = 0.5,
-                   backtracking: bool = True, max_halvings: int = 40,
-                   slack: float = 1e-9) -> DescentReport:
+                   backtracking: bool = True, slack: float = 1e-9) -> DescentReport:
     """Full-batch alternating minimization. Each half-step is accepted only
     if the composite loss does not increase; on violation the step is halved
     and retried (when backtracking is on). The huge-step no-backtracking
@@ -225,7 +225,7 @@ def verify_descent(model: NkmModel, windows: Windows,
                  if model.params[n].grad is not None}
         saved = {n: model.params[n].data.copy() for n in grads}
         accepted = False
-        for _ in range(max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             for n, g in grads.items():
                 model.params[n].data = saved[n] - theta_step * g
             new = loss_value()
@@ -247,7 +247,7 @@ def verify_descent(model: NkmModel, windows: Windows,
                                           loss_cfg.lambda_koop)
         k_saved = model.K.data.copy()
         accepted = False
-        for _ in range(max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             model.K.data = k_saved - k_step * gk
             if np.all(np.isfinite(model.K.data)):
                 model.project_spectral(loss_cfg.rho)

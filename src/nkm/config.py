@@ -69,7 +69,6 @@ _LOSS_KEYS = {
     "loss.lambda_koop": 0.1,
     "loss.eta": 0.01,
     "loss.rho": 0.95,
-    "loss.power_iters": 10,
 }
 
 _TRAIN_KEYS = {
@@ -217,8 +216,7 @@ def optim_from_config(cfg: dict) -> OptimConfig:
 
 def loss_from_config(cfg: dict) -> LossConfig:
     return LossConfig(lambda_koop=cfg["loss.lambda_koop"],
-                      eta=cfg["loss.eta"], rho=cfg["loss.rho"],
-                      power_iters=cfg["loss.power_iters"])
+                      eta=cfg["loss.eta"], rho=cfg["loss.rho"])
 
 
 def edmd_from_config(cfg: dict) -> EdmdConfig:

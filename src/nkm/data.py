@@ -356,9 +356,6 @@ class Preprocessor:
         Z[nan_rows[r], j] = _neighbour_means(T, nb[r], j)
         return Z
 
-    def fit_transform(self, X: np.ndarray) -> np.ndarray:
-        return self.fit(X).transform(X)
-
     def save(self, path) -> None:
         """Full fitted state to .npz; the KNN step needs the train matrix."""
         self._check_fitted()
@@ -367,11 +364,27 @@ class Preprocessor:
 
     @classmethod
     def load(cls, path) -> "Preprocessor":
+        """Read a save() file, refusing one whose state transform cannot use."""
         with np.load(path) as z:
-            pre = cls(k=int(z["k"]), std_floor=float(z["std_floor"]))
-            pre.mean_ = z["mean"].copy()
-            pre.std_ = z["std"].copy()
-            pre.train_std_ = z["train_std"].copy()
+            state = {key: z[key] for key in z.files}
+        missing = {"k", "std_floor", "mean", "std", "train_std"} - set(state)
+        if missing:
+            raise ValueError(f"preprocessor file {path} lacks {sorted(missing)}")
+        k, mean, std, T = (state[key] for key in ("k", "mean", "std", "train_std"))
+        nf = schema.N_FEATURES
+        for usable, need in (
+                (mean.shape == (nf,) and np.all(np.isfinite(mean)),
+                 f"mean must be {nf} finite values"),
+                (std.shape == (nf,) and np.all(np.isfinite(std) & (std > 0)),
+                 f"std must be {nf} finite values > 0"),
+                (T.ndim == 2 and T.shape[0] >= 1 and T.shape[1] == nf,
+                 f"train_std must have shape (n >= 1, {nf})"),
+                (k.shape == () and k.dtype.kind in "iu" and k >= 1,
+                 "k must be an integer >= 1")):
+            if not usable:
+                raise ValueError(f"preprocessor file {path}: {need}")
+        pre = cls(k=int(k), std_floor=float(state["std_floor"]))
+        pre.mean_, pre.std_, pre.train_std_ = mean, std, T
         return pre
 
 

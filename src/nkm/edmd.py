@@ -9,10 +9,7 @@ advances tau steps, and applies the readout.
 """
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -153,12 +150,8 @@ class EdmdModel:
         self.K: np.ndarray | None = None
         self.readout: np.ndarray | None = None   # (lifted_dim, 3)
 
-    @property
-    def fitted(self) -> bool:
-        return self.K is not None
-
     def _require_fitted(self):
-        if not self.fitted:
+        if self.K is None:
             raise ValueError("EdmdModel is not fitted")
 
     def fit(self, table: VisitTable) -> "EdmdModel":
@@ -211,66 +204,3 @@ class EdmdModel:
         self._require_fitted()
         return float(np.linalg.svd(self.K, compute_uv=False)[0])
 
-
-# ---- checkpointing (same manifest + raw float64 scheme as the NKM) --------
-
-_EDMD_ARRAYS = ("centers", "K", "readout")
-_EDMD_FORMAT = 2  # 2: the manifest holds the sha256 of the .bin
-
-
-def save_edmd(model: EdmdModel, stem: str | Path) -> None:
-    model._require_fitted()
-    stem = Path(stem)
-    arrays = {"centers": model.dictionary.centers, "K": model.K,
-              "readout": model.readout}
-    flat = np.concatenate([arrays[k].ravel() for k in _EDMD_ARRAYS])
-    raw = flat.astype("<f8").tobytes()
-    manifest = {
-        "format_version": _EDMD_FORMAT,
-        "kind": "edmd",
-        "config": asdict(model.cfg),
-        "bandwidth": model.dictionary.bandwidth,
-        "include_identity": model.dictionary.include_identity,
-        "include_constant": model.dictionary.include_constant,
-        "array_shapes": {k: list(arrays[k].shape) for k in _EDMD_ARRAYS},
-        "bin_sha256": hashlib.sha256(raw).hexdigest(),
-    }
-    stem.with_suffix(".json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    stem.with_suffix(".bin").write_bytes(raw)
-
-
-def load_edmd(stem: str | Path) -> EdmdModel:
-    stem = Path(stem)
-    mpath, bpath = stem.with_suffix(".json"), stem.with_suffix(".bin")
-    if not mpath.exists() or not bpath.exists():
-        raise FileNotFoundError(f"missing checkpoint file for {stem}")
-    manifest = json.loads(mpath.read_text())
-    if manifest.get("kind") != "edmd":
-        raise ValueError("manifest is not an EDMD checkpoint")
-    version = manifest.get("format_version")
-    if version != _EDMD_FORMAT:
-        raise ValueError(f"EDMD checkpoint format_version {version} is not "
-                         f"readable; this version reads format_version {_EDMD_FORMAT}")
-    shapes = {k: tuple(v) for k, v in manifest["array_shapes"].items()}
-    raw = bpath.read_bytes()
-    if hashlib.sha256(raw).hexdigest() != manifest["bin_sha256"]:
-        raise ValueError(f"checkpoint binary {bpath} does not match the sha256 "
-                         "in its manifest")
-    flat = np.frombuffer(raw, dtype="<f8")
-    want = sum(int(np.prod(s)) for s in shapes.values())
-    if flat.size != want:
-        raise ValueError(f"binary holds {flat.size} values, manifest says {want}")
-    model = EdmdModel(EdmdConfig(**manifest["config"]))
-    pos = 0
-    out = {}
-    for k in _EDMD_ARRAYS:
-        n = int(np.prod(shapes[k]))
-        out[k] = flat[pos:pos + n].reshape(shapes[k]).copy()
-        pos += n
-    model.dictionary = RbfDictionary(out["centers"], manifest["bandwidth"],
-                                     manifest["include_identity"],
-                                     manifest["include_constant"])
-    model.K = out["K"]
-    model.readout = out["readout"]
-    return model

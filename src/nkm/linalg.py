@@ -11,6 +11,9 @@ import numpy as np
 
 from .tensor import Tensor, as_tensor, div, l2_norm, matmul, transpose
 
+_BLOCK = 8           # columns of the subspace in power_iteration_norm
+_TAPE_ITERS = 10     # Gram iterations of spectral_norm_differentiable
+
 
 def check_matrix(a: np.ndarray, name: str = "matrix", square: bool = False) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
@@ -23,19 +26,18 @@ def check_matrix(a: np.ndarray, name: str = "matrix", square: bool = False) -> n
     return a
 
 
-def power_iteration_norm(K: np.ndarray, iters: int = 10, seed: int = 0,
-                         block: int = 8) -> float:
+def power_iteration_norm(K: np.ndarray, iters: int = 10, seed: int = 0) -> float:
     """Estimate the spectral norm of K.
 
     Block subspace iteration on the Gram operator with QR re-orthonormalization,
-    started from a seeded Gaussian block. The returned value is sigma_max(K @ V)
-    for orthonormal V, hence never exceeds the true norm.
+    started from a seeded Gaussian block of _BLOCK columns. The returned value
+    is sigma_max(K @ V) for orthonormal V, hence never exceeds the true norm.
     """
     K = check_matrix(K, "K")
     if iters < 1:
         raise ValueError("iters must be >= 1")
     n = K.shape[1]
-    b = min(block, n)
+    b = min(_BLOCK, n)
     rng = np.random.default_rng(seed)
     V = rng.standard_normal((n, b))
     V, _ = np.linalg.qr(V)
@@ -48,20 +50,20 @@ def power_iteration_norm(K: np.ndarray, iters: int = 10, seed: int = 0,
     return float(s[0])
 
 
-def spectral_norm_differentiable(K: Tensor, iters: int = 10, seed: int = 0) -> Tensor:
-    """Single-vector Gram power iteration on the autodiff tape.
+def spectral_norm_differentiable(K: Tensor) -> Tensor:
+    """Single-vector Gram power iteration on the autodiff tape, _TAPE_ITERS
+    steps from a fixed unit vector (default_rng(0)).
 
     Returns ||K v_p||_2 as a scalar tensor; the whole iteration stays on the
     tape so gradients account for the dependence of v_p on K.
     """
     K = as_tensor(K)
     n = K.data.shape[1]
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal((n, 1))
+    v0 = np.random.default_rng(0).standard_normal((n, 1))
     v0 /= np.linalg.norm(v0)
     v = Tensor(v0)
     Kt = transpose(K)
-    for _ in range(iters):
+    for _ in range(_TAPE_ITERS):
         w = matmul(Kt, matmul(K, v))
         v = div(w, l2_norm(w))
     return l2_norm(matmul(K, v))

@@ -80,9 +80,6 @@ class ArchConfig:
     def d_k(self) -> int:
         return self.d_z // self.n_heads
 
-    def total_feature_dim(self) -> int:
-        return sum(len(schema.GROUP_COLUMNS[g]) for g in self.groups)
-
 
 def full_arch() -> ArchConfig:
     """The published architecture: 360-d latent, 8 heads, deep encoders."""

@@ -5,7 +5,7 @@ Loss per batch of windows:
     L_pred   mean over windows of the squared prediction error
     L_koop   mean over in-window transitions of ||z' - K z - c||^2
     R_spec   eta * max(0, ||K||^2 - rho^2)^2 with a differentiable
-             power-iteration norm estimate
+             10-iteration power-iteration norm estimate
 
 Two modes: "joint" puts every parameter under AdamW; "alternating" runs the
 AdamW step on everything except K, then moves K along the closed-form
@@ -32,15 +32,12 @@ class LossConfig:
     lambda_koop: float = 0.1
     eta: float = 0.01
     rho: float = 0.95
-    power_iters: int = 10
 
     def __post_init__(self):
         if self.lambda_koop < 0 or self.eta < 0:
             raise ValueError("lambda_koop and eta must be >= 0")
         if not (0.0 < self.rho):
             raise ValueError("rho must be positive")
-        if self.power_iters < 1:
-            raise ValueError("power_iters must be >= 1")
 
 
 def composite_loss(model: NkmModel, X: np.ndarray, y: np.ndarray,
@@ -71,7 +68,7 @@ def composite_loss(model: NkmModel, X: np.ndarray, y: np.ndarray,
 
     eta = 0.0 if model.ablation.no_spectral_reg else cfg.eta
     if eta > 0.0:
-        sig = spectral_norm_differentiable(model.K, iters=cfg.power_iters)
+        sig = spectral_norm_differentiable(model.K)
         hinge = relu(sub(square(sig), cfg.rho ** 2))
         r_spec = mul(square(hinge), eta)
     else:
@@ -174,48 +171,53 @@ def train(model: NkmModel, train_windows: Windows, val_windows: Windows,
     best_val = np.inf
     best_epoch = -1
 
-    for epoch in range(optim_cfg.epochs):
-        perm = rng.permutation(n)
-        sums = {"L_pred": 0.0, "L_koop": 0.0, "R_spec": 0.0}
-        n_batches = 0
-        for lo in range(0, n, bs):
-            idx = perm[lo:lo + bs]
-            model.params.zero_grad()
-            try:
-                total, parts, fwd = composite_loss(
-                    model, train_windows.X[idx], train_windows.y[idx],
-                    loss_cfg, train=True, rng=rng)
-            except RuntimeError as err:
-                raise RuntimeError(f"epoch {epoch}: {err}") from None
-            total.backward()
-            if mode == "alternating":
-                model.K.grad = None
-            clip_global_norm(model.params, optim_cfg.clip_norm)
-            opt.step()
-            if mode == "alternating":
-                covs = koopman_covariances(fwd.z.data, fwd.control.data)
-                g = koopman_grad_closed_form(model.K.data, covs,
-                                             loss_cfg.lambda_koop)
-                model.K.data = model.K.data - _safe_koopman_step_size(
-                    covs[0], loss_cfg.lambda_koop) * g
-                model.project_spectral(loss_cfg.rho)
-            for k in sums:
-                sums[k] += parts[k]
-            n_batches += 1
+    # alternating mode moves K by its closed form: keep it off the tape
+    k_requires_grad = model.K.requires_grad
+    if mode == "alternating":
+        model.K.requires_grad = False
+    try:
+        for epoch in range(optim_cfg.epochs):
+            perm = rng.permutation(n)
+            sums = {"L_pred": 0.0, "L_koop": 0.0, "R_spec": 0.0}
+            n_batches = 0
+            for lo in range(0, n, bs):
+                idx = perm[lo:lo + bs]
+                model.params.zero_grad()
+                try:
+                    total, parts, fwd = composite_loss(
+                        model, train_windows.X[idx], train_windows.y[idx],
+                        loss_cfg, train=True, rng=rng)
+                except RuntimeError as err:
+                    raise RuntimeError(f"epoch {epoch}: {err}") from None
+                total.backward()
+                clip_global_norm(model.params, optim_cfg.clip_norm)
+                opt.step()
+                if mode == "alternating":
+                    covs = koopman_covariances(fwd.z.data, fwd.control.data)
+                    g = koopman_grad_closed_form(model.K.data, covs,
+                                                 loss_cfg.lambda_koop)
+                    model.K.data = model.K.data - _safe_koopman_step_size(
+                        covs[0], loss_cfg.lambda_koop) * g
+                    model.project_spectral(loss_cfg.rho)
+                for k in sums:
+                    sums[k] += parts[k]
+                n_batches += 1
 
-        val = _val_loss(model, val_windows, loss_cfg)
-        history.append({"epoch": epoch,
-                        "L_pred": sums["L_pred"] / n_batches,
-                        "L_koop": sums["L_koop"] / n_batches,
-                        "R_spec": sums["R_spec"] / n_batches,
-                        "val_loss": val, "lr": opt.lr})
-        if val < best_val:
-            best_val = val
-            best_epoch = epoch
-            best_params = model.params.copy_values()
-        sched.step(val)
-        if stopper.update(epoch, val):
-            break
+            val = _val_loss(model, val_windows, loss_cfg)
+            history.append({"epoch": epoch,
+                            "L_pred": sums["L_pred"] / n_batches,
+                            "L_koop": sums["L_koop"] / n_batches,
+                            "R_spec": sums["R_spec"] / n_batches,
+                            "val_loss": val, "lr": opt.lr})
+            if val < best_val:
+                best_val = val
+                best_epoch = epoch
+                best_params = model.params.copy_values()
+            sched.step(val)
+            if stopper.update(epoch, val):
+                break
+    finally:
+        model.K.requires_grad = k_requires_grad
 
     model.params.load_values(best_params)
     if project_final:
@@ -337,9 +339,6 @@ class CvResult:
 
     def mean_pearson(self) -> float:
         return float(np.mean(self.fold_mean_pearson()))
-
-    def std_pearson(self) -> float:
-        return float(np.std(self.fold_mean_pearson()))
 
     def rows(self) -> list[dict]:
         out = []

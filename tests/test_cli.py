@@ -48,6 +48,12 @@ class TestExitCodes:
         assert rc == 2
         capsys.readouterr()
 
+    def test_removed_power_iters_key(self, tmp_path, capsys):
+        # R_spec's power iteration has a fixed count; the key is gone
+        rc, _ = run(tmp_path, "o", "train", "--set", "loss.power_iters=10")
+        assert rc == 2
+        assert "loss.power_iters" in capsys.readouterr().err
+
     def test_missing_input_data_file(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "o", "train",
                     "--set", f"data.path={tmp_path / 'nope.csv'}")
@@ -155,6 +161,20 @@ class TestTrainEval:
         assert report["windows"] > 0
         assert set(report["metrics"]["pearson"]) == {"ADAS13", "MMSE", "CDRSB"}
         capsys.readouterr()
+
+    def test_eval_refuses_unusable_preprocessor(self, tmp_path, capsys):
+        _, t = run(tmp_path, "t", "train", "--seed", "3", *TINY)
+        with np.load(t / "preprocessor.npz") as z:
+            state = dict(z)
+        state["k"] = np.int64(0)
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **state)
+        rc, _ = run(tmp_path, "e", "eval",
+                    "--set", f"eval.model={t / 'model'}",
+                    "--set", f"eval.preprocessor={bad}",
+                    "--set", "data.n_subjects=10", "--set", "data.visits=5")
+        assert rc == 1
+        assert "bad.npz" in capsys.readouterr().err
 
     def test_eval_missing_checkpoint(self, tmp_path, capsys):
         _, t = run(tmp_path, "t", "train", "--seed", "3", *TINY)

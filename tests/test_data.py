@@ -151,14 +151,14 @@ class TestPreprocessor:
         # column (1,2,3): mean 2, population std sqrt(2/3), hence +-1.2247...
         t = make_table([("A", v, {"CSF_TAU": float(v + 1)}, (0, 0, 0))
                         for v in range(3)])
-        z = Preprocessor().fit_transform(t.X)
+        z = Preprocessor().fit(t.X).transform(t.X)
         tau = schema.feature_index("CSF_TAU")
         want = np.array([-1.224744871391589, 0.0, 1.224744871391589])
         assert np.allclose(z[:, tau], want, atol=1e-12)
 
     def test_constant_column_maps_to_zero(self):
         t = make_table([("A", v, {"CSF_TAU": 5.0}, (0, 0, 0)) for v in range(3)])
-        z = Preprocessor().fit_transform(t.X)
+        z = Preprocessor().fit(t.X).transform(t.X)
         assert np.allclose(z[:, schema.feature_index("CSF_TAU")], 0.0)
 
     def test_constant_column_unseen_value_is_only_centred(self):
@@ -235,6 +235,50 @@ class TestPreprocessor:
         assert np.array_equal(pre.transform(Q), back.transform(Q))
         with pytest.raises(ValueError, match="not fitted"):
             Preprocessor().save(tmp_path / "unfitted.npz")
+
+    @staticmethod
+    def _saved_state(tmp_path):
+        rng = np.random.default_rng(2)
+        X = rng.standard_normal((12, schema.N_FEATURES))
+        X[rng.random(X.shape) < 0.1] = np.nan
+        path = tmp_path / "pre.npz"
+        Preprocessor(k=3).fit(X).save(path)
+        with np.load(path) as z:
+            return dict(z)
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("mean", np.zeros(1), "mean"),
+        ("std", np.ones(1), "std"),
+        ("mean", np.full(schema.N_FEATURES, np.nan), "mean"),
+        ("std", np.full(schema.N_FEATURES, np.inf), "std"),
+        ("std", np.zeros(schema.N_FEATURES), "std must be .* > 0"),
+        ("train_std", np.zeros((0, schema.N_FEATURES)), "train_std"),
+        ("train_std", np.zeros((4, 3)), "train_std"),
+        ("train_std", np.zeros(schema.N_FEATURES), "train_std"),
+        ("k", np.int64(0), "k must be an integer"),
+        ("k", np.float64(3.0), "k must be an integer"),
+        ("k", np.array([3, 3]), "k must be an integer"),
+    ], ids=["mean-one-value", "std-one-value", "mean-nan", "std-inf",
+            "std-zero", "train-std-no-rows", "train-std-narrow",
+            "train-std-1d", "k-zero", "k-float", "k-array"])
+    def test_load_refuses_unusable_state(self, tmp_path, key, value, match):
+        # a one-value mean would broadcast over all columns and k = 0 would
+        # impute every missing cell as 0; neither may load
+        state = self._saved_state(tmp_path)
+        state[key] = value
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **state)
+        with pytest.raises(ValueError, match=match) as err:
+            Preprocessor.load(bad)
+        assert "bad.npz" in str(err.value)
+
+    def test_load_refuses_missing_array(self, tmp_path):
+        state = self._saved_state(tmp_path)
+        del state["train_std"]
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **state)
+        with pytest.raises(ValueError, match="bad.npz.*train_std"):
+            Preprocessor.load(bad)
 
 
 class TestMaterializeFold:

@@ -1,14 +1,12 @@
 """RBF lifting, operator solves, exact recovery on linear dynamics."""
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
 from nkm.data import build_windows, materialize_fold
 from nkm.edmd import (EdmdConfig, EdmdModel, RbfDictionary, fit_dictionary,
-                      fit_edmd, load_edmd, save_edmd)
+                      fit_edmd)
 from nkm.synthetic import SyntheticConfig, generate_synthetic
 
 
@@ -238,68 +236,3 @@ class TestForecastApi:
         assert pred.shape == (len(fold.test), 3)
         assert np.all(np.isfinite(pred))
 
-
-class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
-        table, _ = linear_cohort(seed=10)
-        model = EdmdModel(EdmdConfig(n_centers=6, seed=3)).fit(table)
-        stem = tmp_path / "edmd"
-        save_edmd(model, stem)
-        back = load_edmd(stem)
-        assert np.array_equal(back.K, model.K)
-        assert np.array_equal(back.readout, model.readout)
-        assert np.array_equal(back.dictionary.centers,
-                              model.dictionary.centers)
-        assert back.dictionary.bandwidth == model.dictionary.bandwidth
-        X = table.X[:5]
-        assert np.array_equal(back.forecast(X), model.forecast(X))
-
-    def test_truncated_binary_rejected(self, tmp_path):
-        table, _ = linear_cohort(seed=11)
-        model = EdmdModel(EdmdConfig(n_centers=2, seed=0)).fit(table)
-        stem = tmp_path / "edmd"
-        save_edmd(model, stem)
-        raw = (stem.with_suffix(".bin")).read_bytes()
-        stem.with_suffix(".bin").write_bytes(raw[:-16])
-        with pytest.raises(ValueError, match="binary"):
-            load_edmd(stem)
-
-    def test_unknown_format_version_rejected(self, tmp_path):
-        table, _ = linear_cohort(seed=12)
-        stem = tmp_path / "edmd"
-        save_edmd(EdmdModel(EdmdConfig(n_centers=2, seed=0)).fit(table), stem)
-        manifest = json.loads(stem.with_suffix(".json").read_text())
-        manifest["format_version"] = 99
-        stem.with_suffix(".json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="format_version 99 .* format_version 2"):
-            load_edmd(stem)
-
-    def test_flipped_byte_rejected(self, tmp_path):
-        # same size, one value changed: only the digest can tell
-        table, _ = linear_cohort(seed=13)
-        stem = tmp_path / "edmd"
-        save_edmd(EdmdModel(EdmdConfig(n_centers=2, seed=0)).fit(table), stem)
-        raw = bytearray(stem.with_suffix(".bin").read_bytes())
-        raw[len(raw) // 2] ^= 0x01
-        stem.with_suffix(".bin").write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="sha256"):
-            load_edmd(stem)
-
-    def test_version_one_manifest_rejected(self, tmp_path):
-        # version 1 manifests carry no digest of the .bin
-        table, _ = linear_cohort(seed=14)
-        stem = tmp_path / "edmd"
-        save_edmd(EdmdModel(EdmdConfig(n_centers=2, seed=0)).fit(table), stem)
-        manifest = json.loads(stem.with_suffix(".json").read_text())
-        manifest.pop("bin_sha256", None)
-        manifest["format_version"] = 1
-        stem.with_suffix(".json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="format_version 1 .* format_version 2"):
-            load_edmd(stem)
-
-    def test_missing_files_rejected(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_edmd(tmp_path / "nope")
-        model = EdmdModel()
-        with pytest.raises(ValueError, match="not fitted"):
-            save_edmd(model, tmp_path / "unfitted")

@@ -94,7 +94,8 @@ class TestEncoder:
     def test_no_demo_variant(self):
         arch = tiny_arch(groups=tuple(g for g in schema.GROUP_NAMES if g != "demo"))
         m = NkmModel(arch, seed=0)
-        assert arch.total_feature_dim() == 25
+        widths = schema.group_slices(list(arch.groups)).values()
+        assert sum(s.stop - s.start for s in widths) == 25
         out = m.forward(rand_windows())
         assert out.pred.data.shape == (4, 3)
 

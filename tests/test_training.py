@@ -10,7 +10,7 @@ from nkm.data import build_windows, materialize_fold
 from nkm.model import AblationFlags, ArchConfig, NkmModel
 from nkm.optim import OptimConfig
 from nkm.synthetic import SyntheticConfig, generate_synthetic
-from nkm.tensor import mul
+from nkm.tensor import Tensor, mul
 from nkm.training import (CvResult, LossConfig, composite_loss, evaluate,
                           evaluate_predictions, koopman_covariances,
                           koopman_fixed_point, koopman_grad_closed_form,
@@ -319,6 +319,37 @@ class TestTrainLoop:
                     project_final=False)
         assert not np.array_equal(res.model.K.data, k0)
         assert np.linalg.svd(res.model.K.data, compute_uv=False)[0] <= 0.95 + 1e-8
+
+    def test_alternating_mode_keeps_k_off_the_tape(self, monkeypatch):
+        # K moves by its closed form there, so no backward pass may reach it
+        table = small_cohort(seed=3)
+        fold = materialize_fold(table, table.unique_subjects()[:6], seed=3)
+        model = NkmModel(tiny_arch(), seed=6)
+        backward = Tensor.backward
+        k_grads = []
+
+        def checked_backward(self):
+            backward(self)
+            k_grads.append(model.K.grad)
+
+        monkeypatch.setattr(Tensor, "backward", checked_backward)
+        train(model, fold.train, fold.val, fast_optim(epochs=2),
+              LossConfig(), mode="alternating", seed=7)
+        assert len(k_grads) > 0
+        assert all(g is None for g in k_grads)
+
+    def test_alternating_mode_restores_k_requires_grad(self):
+        table = small_cohort(seed=4)
+        fold = materialize_fold(table, table.unique_subjects()[:6], seed=4)
+        model = NkmModel(tiny_arch(), seed=7)
+        train(model, fold.train, fold.val, fast_optim(epochs=1), LossConfig(),
+              mode="alternating", seed=8)
+        assert model.K.requires_grad
+        model.params["dec.head.b"].data[0] = np.inf
+        with pytest.raises(RuntimeError, match="epoch 0"):
+            train(model, fold.train, fold.val, fast_optim(), LossConfig(),
+                  mode="alternating", seed=8)
+        assert model.K.requires_grad
 
     def test_nan_abort_names_component_and_epoch(self):
         table = small_cohort(seed=4)
