@@ -401,8 +401,9 @@ class FoldData:
 
 
 def materialize_fold(table: VisitTable, test_subjects: list[str], seed: int = 0,
-                     w: int = 3, val_frac: float = 0.2, k_impute: int = 5) -> FoldData:
-    """Fit preprocessing on the train split only, then window all three splits."""
+                     w: int = 3, val_frac: float = 0.2) -> FoldData:
+    """Fit preprocessing (the default k = 5 of `Preprocessor`) on the train
+    split only, then window all three splits."""
     test_set = set(test_subjects)
     pool = [s for s in table.unique_subjects() if s not in test_set]
     if not pool:
@@ -413,7 +414,7 @@ def materialize_fold(table: VisitTable, test_subjects: list[str], seed: int = 0,
     va_tab = table.subset_subjects(val_subjects)
     te_tab = table.subset_subjects(test_subjects)
 
-    pre = Preprocessor(k=k_impute).fit(tr_tab.X)
+    pre = Preprocessor().fit(tr_tab.X)
     tr = build_windows(tr_tab.with_features(pre.transform(tr_tab.X)), w=w)
     va = build_windows(va_tab.with_features(pre.transform(va_tab.X)), w=w)
     te = build_windows(te_tab.with_features(pre.transform(te_tab.X)), w=w)

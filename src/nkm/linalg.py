@@ -13,6 +13,7 @@ from .tensor import Tensor, as_tensor, div, l2_norm, matmul, transpose
 
 _BLOCK = 8           # columns of the subspace in power_iteration_norm
 _TAPE_ITERS = 10     # Gram iterations of spectral_norm_differentiable
+_RCOND = 1e-12       # relative singular-value cut of pinv
 
 
 def check_matrix(a: np.ndarray, name: str = "matrix", square: bool = False) -> np.ndarray:
@@ -69,13 +70,13 @@ def spectral_norm_differentiable(K: Tensor) -> Tensor:
     return l2_norm(matmul(K, v))
 
 
-def pinv(A: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
-    """Moore-Penrose pseudoinverse; singular values <= rcond * sigma_max drop to 0."""
+def pinv(A: np.ndarray) -> np.ndarray:
+    """Moore-Penrose pseudoinverse; singular values <= 1e-12 * sigma_max drop to 0."""
     A = check_matrix(A, "A")
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((A.shape[1], A.shape[0]))
-    cut = rcond * s[0]
+    cut = _RCOND * s[0]
     inv = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
     return (Vt.T * inv) @ U.T
 

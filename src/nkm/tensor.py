@@ -14,12 +14,18 @@ import numpy as np
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) otherwise, with no
+    masked gathers: both branches share e = exp(-|x|), and the numerator
+    e*[x < 0] + [x >= 0] is exactly 1 or e. NaN keeps its sign and payload,
+    since minimum(x, -x) returns x when x is NaN."""
+    e = np.negative(x, out=np.empty_like(x))   # an array also for 0-d x
+    np.minimum(x, e, out=e)
+    with np.errstate(under="ignore"):  # e^-|x| -> 0 is the saturated value
+        np.exp(e, out=e)
+    den = np.add(1.0, e)
+    np.multiply(e, x < 0, out=e)
+    np.add(e, x >= 0, out=e)
+    return np.divide(e, den, out=e)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -296,7 +302,8 @@ def sigmoid(a) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * s * (1.0 - s))
+            gs = g * s
+            a._accumulate(np.multiply(gs, np.subtract(1.0, s), out=gs))
 
     return _make(s, (a,), backward)
 
@@ -309,7 +316,12 @@ def silu(a) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * s * (1.0 + a.data * (1.0 - s)))
+            # g*s * (1 + x*(1 - s)), evaluated in that order
+            t = np.subtract(1.0, s)
+            np.multiply(a.data, t, out=t)
+            np.add(1.0, t, out=t)
+            gs = g * s
+            a._accumulate(np.multiply(gs, t, out=gs))
 
     return _make(out_data, (a,), backward)
 
@@ -318,14 +330,24 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift.
 
     Population variance; eps guards the zero-variance case so an all-equal
-    row maps to beta exactly.
+    row maps to beta exactly. Mean and variance take numpy's `mean` and
+    `var` steps (sum, divide by n; subtract, square, sum, divide by n), so
+    the values are theirs bit for bit, but the row sum and the centred
+    array are computed once.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out_data = gamma.data * xhat + beta.data
+    n = x.data.shape[-1]
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+    np.divide(mu, n, out=mu)
+    xhat = np.subtract(x.data, mu)
+    out_data = np.square(xhat)
+    var = np.add.reduce(out_data, axis=-1, keepdims=True)
+    np.divide(var, n, out=var)
+    np.add(var, eps, out=var)
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    np.multiply(xhat, inv, out=xhat)
+    np.multiply(gamma.data, xhat, out=out_data)
+    np.add(out_data, beta.data, out=out_data)
 
     def backward(g):
         if beta.requires_grad:
@@ -333,10 +355,17 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
         if gamma.requires_grad:
             gamma._accumulate(_unbroadcast(g * xhat, gamma.data.shape))
         if x.requires_grad:
+            # inv * (dxhat - m1 - xhat*m2), m1 and m2 the row means of
+            # dxhat and dxhat*xhat
             dxhat = g * gamma.data
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            x._accumulate(inv * (dxhat - m1 - xhat * m2))
+            t = dxhat * xhat
+            m1 = np.add.reduce(dxhat, axis=-1, keepdims=True)
+            np.divide(m1, n, out=m1)
+            m2 = np.add.reduce(t, axis=-1, keepdims=True)
+            np.divide(m2, n, out=m2)
+            np.subtract(dxhat, m1, out=dxhat)
+            np.subtract(dxhat, np.multiply(xhat, m2, out=t), out=dxhat)
+            x._accumulate(np.multiply(inv, dxhat, out=dxhat))
 
     return _make(out_data, (x, gamma, beta), backward)
 

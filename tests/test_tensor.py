@@ -72,9 +72,9 @@ class TestElementwise:
     def test_silu_value(self):
         x = np.array([[0.0, 1.0, -1.0]])
         out = T.silu(T.Tensor(x)).data
-        want = x / (1.0 + np.exp(-x)) * 1.0
-        want = x * (1.0 / (1.0 + np.exp(-x)))
-        assert np.allclose(out, want)
+        # x times the two-branch sigmoid: 1/(1 + e^-x) for x >= 0, else e^x/(1 + e^x)
+        want = x * np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)), np.exp(x) / (1.0 + np.exp(x)))
+        assert out.tobytes() == want.tobytes()
         assert out[0, 0] == 0.0
 
     def test_sigmoid_extreme_inputs_stable(self):
