@@ -17,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import schema
-from .data import VisitTable, Windows, materialize_fold, train_val_split
+from .data import (VisitTable, Windows, materialize_fold, train_val_split,
+                   visit_runs)
 from .edmd import EdmdModel
 from .linalg import max_abs_eigenvalue
 from .model import ArchConfig, NkmModel
@@ -84,35 +85,27 @@ class BoundReport:
                 "limit": self.limit, "passed": self.passed}
 
 
-def _nkm_sequences(model: NkmModel, table: VisitTable
-                   ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per subject: refined latents and controls for every window end
-    position, in visit order. Needs finite (preprocessed) features."""
-    if not np.all(np.isfinite(table.X)):
-        raise ValueError("bound harness requires imputed (finite) features")
-    w = model.arch.window
-    windows, counts = [], []
-    for rows in table.subject_rows().values():
-        if rows.size >= w:
-            windows += [table.X[rows[e - w + 1:e + 1]] for e in range(w - 1, rows.size)]
-            counts.append(rows.size - w + 1)
-    if not counts:
-        raise ValueError("no subject has enough visits for one window")
-    with no_grad():
-        fwd = model.forward(np.stack(windows))
-    cuts = np.cumsum(counts)[:-1]
-    return list(zip(np.split(fwd.z_last.data, cuts), np.split(fwd.control.data, cuts)))
-
-
-def _edmd_sequences(model: EdmdModel, table: VisitTable
-                    ) -> list[tuple[np.ndarray, None]]:
-    out = []
-    for rows in table.subject_rows().values():
-        if rows.size >= 2:
-            out.append((model.lift(table.X[rows]), None))
-    if not out:
+def _bound_states(model: NkmModel | EdmdModel, table: VisitTable
+                  ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """(Z, C, seq): lifted states, subject by subject in visit order, with
+    each state's subject in seq. NKM states are the refined latents and
+    controls of every window end position, from one forward pass; EDMD
+    states lift each visit of the subjects with two or more, and C is None."""
+    if isinstance(model, NkmModel):
+        if not np.all(np.isfinite(table.X)):
+            raise ValueError("bound harness requires imputed (finite) features")
+        rows, seq, _ = visit_runs(table, model.arch.window)
+        if not len(rows):
+            raise ValueError("no subject has enough visits for one window")
+        with no_grad():
+            fwd = model.forward(table.X[rows])
+        return fwd.z_last.data, fwd.control.data, seq
+    model._require_fitted()
+    rows, seq, _ = visit_runs(table, 1)
+    paired = np.bincount(seq)[seq] >= 2
+    if not paired.any():
         raise ValueError("no subject has two visits")
-    return out
+    return model.lift(table.X[rows[paired, 0]]), None, seq[paired]
 
 
 def verify_bound(model: NkmModel | EdmdModel, table: VisitTable,
@@ -122,40 +115,32 @@ def verify_bound(model: NkmModel | EdmdModel, table: VisitTable,
     reuse the measured per-step controls; EDMD rollouts are autonomous."""
     if tau_max < 1:
         raise ValueError("tau_max must be >= 1")
-    if isinstance(model, NkmModel):
-        K = model.K.data
-        seqs = _nkm_sequences(model, table)
-    else:
-        model._require_fitted()
-        K = model.K
-        seqs = _edmd_sequences(model, table)
+    Z, C, seq = _bound_states(model, table)
+    K = model.K.data if isinstance(model, NkmModel) else model.K
     norm_k = float(np.linalg.svd(K, compute_uv=False)[0])
     if norm_k >= 1.0:
         raise ValueError(f"bound requires ||K||_2 < 1, measured {norm_k:.6g}")
 
-    longest = max(Z.shape[0] for Z, _ in seqs)
+    longest = int(np.bincount(seq).max())
     if longest < tau_max + 1:
         raise ValueError(f"tau_max={tau_max} needs a sequence of "
                          f"{tau_max + 1} lifted states; longest is {longest}")
-    # same association as the tau = 1 rollout below, so empirical[0] == eps
-    eps = max(measure_eps(Z[:-1], Z[1:], K, None if C is None else C[:-1])
-              for Z, C in seqs if Z.shape[0] > 1)
+    # the tau = 1 rollout below repeats these operations, so empirical[0] == eps
+    k = np.flatnonzero(seq[1:] == seq[:-1])
+    eps = measure_eps(Z[k], Z[k + 1], K, None if C is None else C[k])
 
+    # pred[k] is state k advanced tau steps, for every k with k + tau in the
+    # same subject; those k shrink as tau grows
+    pred = Z.copy()
     empirical = []
     for tau in range(1, tau_max + 1):
-        worst = 0.0
-        for Z, C in seqs:
-            T = Z.shape[0]
-            if T < tau + 1:
-                continue
-            pred = Z[:T - tau].copy()
-            for j in range(tau):
-                pred = pred @ K.T
-                if C is not None:
-                    pred = pred + C[j:j + T - tau]
-            err = Z[tau:] - pred
-            worst = max(worst, float(np.max(np.sqrt(np.sum(err * err, axis=1)))))
-        empirical.append(worst)
+        k = np.flatnonzero(seq[tau:] == seq[:len(seq) - tau])
+        step = pred[k] @ K.T
+        if C is not None:
+            step += C[k + tau - 1]
+        pred[k] = step
+        err = Z[k + tau] - step
+        empirical.append(float(np.max(np.sqrt(np.sum(err * err, axis=1)))))
 
     taus = list(range(1, tau_max + 1))
     bounds = [geometric_bound(eps, norm_k, t) for t in taus]

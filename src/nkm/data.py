@@ -39,15 +39,6 @@ class VisitTable:
             seen.setdefault(s, None)
         return list(seen)
 
-    def subject_rows(self) -> dict[str, np.ndarray]:
-        """Each subject's row indices in visit order (stable), subjects in
-        first-appearance order."""
-        by_subject: dict[str, list[int]] = {}
-        for i, s in enumerate(self.subject_ids):
-            by_subject.setdefault(s, []).append(i)
-        return {s: np.array(sorted(idx, key=lambda i: self.visits[i]))
-                for s, idx in by_subject.items()}
-
     def subset_subjects(self, subjects) -> "VisitTable":
         wanted = set(subjects)
         idx = [i for i, s in enumerate(self.subject_ids) if s in wanted]
@@ -161,6 +152,32 @@ class Windows:
         return self.X.shape[0]
 
 
+def visit_runs(table: VisitTable, length: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every run of `length` consecutive visits of one subject.
+
+    Returns (rows, seq, start): rows is (n, length) table row indices, seq
+    each run's subject as a position in `unique_subjects()`, and start the
+    run's first position in that subject's visit-ordered sequence. Runs are
+    ordered by subject, then start; visits of one subject are ordered by
+    visit number, ties in table order.
+    """
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    code: dict[str, int] = {}     # first-appearance position
+    subject = np.array([code.setdefault(s, len(code)) for s in table.subject_ids],
+                       dtype=np.int64)
+    order = np.lexsort((table.visits, subject))
+    sorted_subject = subject[order]
+    m = max(len(order) - length + 1, 0)
+    first = np.flatnonzero(sorted_subject[length - 1:length - 1 + m]
+                           == sorted_subject[:m])
+    rows = order[first[:, None] + np.arange(length)]
+    seq = sorted_subject[first]
+    start = first - np.searchsorted(sorted_subject, seq)
+    return rows, seq, start
+
+
 def build_windows(table: VisitTable, w: int = 3) -> Windows:
     """Slide a length-(w+1) window over each subject's visit-ordered sequence.
 
@@ -169,23 +186,12 @@ def build_windows(table: VisitTable, w: int = 3) -> Windows:
     """
     if w < 1:
         raise ValueError("w must be >= 1")
-    xs, ys, subs, starts = [], [], [], []
-    for s, idx in table.subject_rows().items():
-        for t0 in range(len(idx) - w):
-            tgt = table.Y[idx[t0 + w]]
-            if np.any(np.isnan(tgt)):
-                continue
-            xs.append(table.X[idx[t0:t0 + w]])
-            ys.append(tgt)
-            subs.append(s)
-            starts.append(t0)
-    if xs:
-        X = np.stack(xs).astype(np.float64)
-        y = np.stack(ys).astype(np.float64)
-    else:
-        X = np.zeros((0, w, schema.N_FEATURES))
-        y = np.zeros((0, schema.N_TARGETS))
-    return Windows(X, y, subs, np.array(starts, dtype=np.int64))
+    rows, seq, start = visit_runs(table, w + 1)
+    keep = ~np.isnan(table.Y[rows[:, w]]).any(axis=1)
+    rows, seq = rows[keep], seq[keep]
+    subjects = table.unique_subjects()
+    return Windows(table.X[rows[:, :w]], table.Y[rows[:, w]],
+                   [subjects[i] for i in seq], start[keep])
 
 
 def subject_kfold(subjects: list[str], k: int = 5, seed: int = 0) -> list[list[str]]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import VisitTable, Windows
+from .data import VisitTable, Windows, visit_runs
 from .linalg import pinv
 
 
@@ -129,18 +129,6 @@ def fit_edmd(X_lifted: np.ndarray, Y_lifted: np.ndarray, alpha: float = 0.0
     return A @ pinv(G)
 
 
-def _snapshot_rows(table: VisitTable) -> tuple[np.ndarray, np.ndarray]:
-    """Consecutive same-subject visit pairs, visit-sorted (loader order)."""
-    xs, ys = [], []
-    for rows in table.subject_rows().values():
-        if rows.size >= 2:
-            xs.append(table.X[rows[:-1]])
-            ys.append(table.X[rows[1:]])
-    if not xs:
-        raise ValueError("no consecutive visit pairs in table")
-    return np.concatenate(xs, axis=0), np.concatenate(ys, axis=0)
-
-
 class EdmdModel:
     """Fit on a preprocessed (finite-valued) visit table; forecast windows."""
 
@@ -158,13 +146,15 @@ class EdmdModel:
         if not np.all(np.isfinite(table.X)):
             raise ValueError("fit requires imputed (finite) features")
         self.dictionary = fit_dictionary(table.X, self.cfg)
-        x_rows, y_rows = _snapshot_rows(table)
-        self.K = fit_edmd(self.dictionary.lift(x_rows),
-                          self.dictionary.lift(y_rows), self.cfg.alpha)
+        pairs, _, _ = visit_runs(table, 2)
+        if not len(pairs):
+            raise ValueError("no consecutive visit pairs in table")
+        lifted = self.dictionary.lift(table.X)
+        self.K = fit_edmd(lifted[pairs[:, 0]], lifted[pairs[:, 1]], self.cfg.alpha)
         keep = np.all(np.isfinite(table.Y), axis=1)
         if not np.any(keep):
             raise ValueError("no rows with observed targets for the readout")
-        psi = self.dictionary.lift(table.X[keep])
+        psi = lifted[keep]
         Y = table.Y[keep]
         reg = self.cfg.readout_alpha * np.eye(psi.shape[1])
         self.readout = np.linalg.solve(psi.T @ psi + reg, psi.T @ Y)

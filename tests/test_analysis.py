@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nkm.analysis import (BoundReport, _nkm_sequences, bound_limit, export_latents,
+from nkm.analysis import (BoundReport, _bound_states, bound_limit, export_latents,
                           feature_importance, fit_pca, geometric_bound,
                           measure_eps, rollout_latents, verify_bound,
                           verify_descent, write_latents_csv)
@@ -126,8 +126,8 @@ class TestVerifyBound:
         (ArchConfig(d_z=16, n_heads=4, dropout=0.05), 0.0),
         (full_arch(), 1e-12)])
     def test_sequences_match_per_subject_forward(self, arch, atol):
-        # one forward over every subject's windows, split by subject, against
-        # one forward per subject: bitwise at desk size, BLAS rounding at 360
+        # one forward over every subject's windows, against one forward per
+        # subject: bitwise at desk size, BLAS rounding at 360
         full = long_cohort(seed=3, n_subjects=7, visits=6, missing_rate=0.2)
         first = full.subject_ids[0]
         keep = np.array([s != first or v < 2     # too short for one window
@@ -139,23 +139,27 @@ class TestVerifyBound:
         model = NkmModel(arch, seed=4)
         w = arch.window
         want = []
-        for rows in table.subject_rows().values():
-            if rows.size >= w:
+        for i, subject in enumerate(table.unique_subjects()):
+            rows = [r for r, s in enumerate(table.subject_ids) if s == subject]
+            rows.sort(key=lambda r: table.visits[r])
+            if len(rows) >= w:
                 stack = np.stack([table.X[rows[e - w + 1:e + 1]]
-                                  for e in range(w - 1, rows.size)])
+                                  for e in range(w - 1, len(rows))])
                 with no_grad():
                     fwd = model.forward(stack)
-                want.append((fwd.z_last.data, fwd.control.data))
+                want.append((i, fwd.z_last.data, fwd.control.data))
         calls = []
         forward = model.forward
         model.forward = lambda *a, **kw: calls.append(1) or forward(*a, **kw)
-        got = _nkm_sequences(model, table)
+        Z, C, seq = _bound_states(model, table)
         assert len(calls) == 1
-        assert len(got) == len(want) == 6
-        for (z, c), (z_ref, c_ref) in zip(got, want):
-            assert z.shape == z_ref.shape and c.shape == c_ref.shape
-            assert np.allclose(z, z_ref, rtol=0.0, atol=atol)
-            assert np.allclose(c, c_ref, rtol=0.0, atol=atol)
+        assert len(want) == 6 and len(np.unique(seq)) == 6
+        assert Z.shape == C.shape == (sum(len(z) for _, z, _ in want), arch.d_z)
+        for i, z_ref, c_ref in want:
+            assert np.array_equal(np.flatnonzero(seq == i),
+                                  np.arange(len(z_ref)) + np.searchsorted(seq, i))
+            assert np.allclose(Z[seq == i], z_ref, rtol=0.0, atol=atol)
+            assert np.allclose(C[seq == i], c_ref, rtol=0.0, atol=atol)
 
     def test_unprojected_norm_raises_domain_error(self):
         table = long_cohort(seed=1)
