@@ -212,7 +212,7 @@ def verify_descent(model: NkmModel, windows: Windows,
         accepted = False
         for _ in range(_MAX_HALVINGS + 1):
             for n, g in grads.items():
-                model.params[n].data = saved[n] - theta_step * g
+                np.subtract(saved[n], theta_step * g, out=model.params[n].data)
             new = loss_value()
             if new <= cur or not backtracking:
                 accepted = True
@@ -220,7 +220,7 @@ def verify_descent(model: NkmModel, windows: Windows,
             theta_step *= 0.5
         if not accepted:
             for n in grads:
-                model.params[n].data = saved[n]
+                model.params[n].data[...] = saved[n]
         after_theta = loss_value()
         if after_theta > cur:
             th_viol += 1
@@ -233,7 +233,7 @@ def verify_descent(model: NkmModel, windows: Windows,
         k_saved = model.K.data.copy()
         accepted = False
         for _ in range(_MAX_HALVINGS + 1):
-            model.K.data = k_saved - k_step * gk
+            np.subtract(k_saved, k_step * gk, out=model.K.data)
             if np.all(np.isfinite(model.K.data)):
                 model.project_spectral(loss_cfg.rho)
                 new = loss_value()
@@ -242,10 +242,10 @@ def verify_descent(model: NkmModel, windows: Windows,
             if new <= after_theta or not backtracking:
                 accepted = True
                 break
-            model.K.data = k_saved.copy()
+            model.K.data[...] = k_saved
             k_step *= 0.5
         if not accepted:
-            model.K.data = k_saved
+            model.K.data[...] = k_saved
         final = loss_value()
         if final > after_theta:
             k_viol += 1

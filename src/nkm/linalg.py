@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Tensor, as_tensor, div, l2_norm, matmul, transpose
+from .tensor import Tensor, _make, _unbroadcast, as_tensor
 
 _BLOCK = 8           # columns of the subspace in power_iteration_norm
 _TAPE_ITERS = 10     # Gram iterations of spectral_norm_differentiable
@@ -52,22 +52,62 @@ def power_iteration_norm(K: np.ndarray, iters: int = 10, seed: int = 0) -> float
 
 
 def spectral_norm_differentiable(K: Tensor) -> Tensor:
-    """Single-vector Gram power iteration on the autodiff tape, _TAPE_ITERS
-    steps from a fixed unit vector (default_rng(0)).
+    """Single-vector Gram power iteration as one tape node, _TAPE_ITERS steps
+    from a fixed unit vector (default_rng(0)).
 
-    Returns ||K v_p||_2 as a scalar tensor; the whole iteration stays on the
-    tape so gradients account for the dependence of v_p on K.
+    Returns ||K v_p||_2 as a scalar tensor. The forward runs the iteration in
+    numpy and keeps its iterates; the backward differentiates through the
+    dependence of v_p on K. Both take the IEEE steps of the iteration written
+    with the tape's matmul, transpose, div and l2_norm ops, and the backward
+    adds K's twelve gradient terms one by one in the tape's order, so the
+    value and K's gradient are that composition's byte for byte. (The
+    composed nodes stored their gradients as 0.0 + g; that changes only the
+    sign of a zero, which K's own first store erases, so it is skipped.)
     """
     K = as_tensor(K)
-    n = K.data.shape[1]
-    v0 = np.random.default_rng(0).standard_normal((n, 1))
-    v0 /= np.linalg.norm(v0)
-    v = Tensor(v0)
-    Kt = transpose(K)
+    k = K.data
+    v = np.random.default_rng(0).standard_normal((k.shape[1], 1))
+    v /= np.linalg.norm(v)
+    vs, us, ws, norms = [v], [], [], []
     for _ in range(_TAPE_ITERS):
-        w = matmul(Kt, matmul(K, v))
-        v = div(w, l2_norm(w))
-    return l2_norm(matmul(K, v))
+        u = k @ v
+        w = k.T @ u
+        norm = np.sqrt((w * w).sum())
+        v = w / norm
+        us.append(u)
+        ws.append(w)
+        norms.append(norm)
+        vs.append(v)
+    u = k @ v
+    out = np.sqrt((u * u).sum())
+
+    def l2_norm_grad(g, x, norm):
+        # the sqrt, sum and square steps of l2_norm
+        return (g * 0.5 / norm * 2.0) * x
+
+    def backward(g):
+        g_u = l2_norm_grad(g, u, out)
+        K._accumulate(g_u @ vs[-1].T)
+        g_kt = None                       # the gradient of K^T
+        for i in reversed(range(_TAPE_ITERS)):
+            g_v = k.T @ g_u
+            w, norm = ws[i], norms[i]
+            # v = w / norm: w's share, then norm's share through l2_norm(w)
+            g_w = g_v / norm
+            g_norm = _unbroadcast(-g_v * w / (norm * norm), ())
+            g_w += l2_norm_grad(g_norm, w, norm)
+            c = g_w @ us[i].T
+            if g_kt is None:
+                g_kt = c
+            else:
+                g_kt += c
+            g_u = k @ g_w
+            if i:
+                K._accumulate(g_u @ vs[i].T)
+        K._accumulate(g_kt.T)
+        K._accumulate(g_u @ vs[0].T)
+
+    return _make(out, (K,), backward)
 
 
 def pinv(A: np.ndarray) -> np.ndarray:

@@ -26,9 +26,9 @@ import numpy as np
 from . import schema
 from .linalg import clip_singular_values, spectral_scale
 from .optim import ParamStore
-from .tensor import (Tensor, add, concat, div, exp, layer_norm, matmul, mul,
-                     no_grad, reshape, sigmoid, silu, sub, take_rows, tmean,
-                     tsum, transpose)
+from .tensor import (Tensor, add, concat, dense_ln_silu, div, exp, matmul,
+                     mul, no_grad, reshape, sigmoid, silu, sub, take_rows,
+                     tmean, tsum, transpose)
 
 # 2: temporal Q/K/V stored as stacked per-head blocks; 3: the manifest holds
 # the sha256 of the .bin
@@ -211,14 +211,24 @@ class NkmModel:
 
     # ---- stage helpers -------------------------------------------------
 
-    def _dropout(self, t: Tensor, train: bool, rng: np.random.Generator | None) -> Tensor:
+    def _dropout_mask(self, shape: tuple[int, int], train: bool,
+                      rng: np.random.Generator | None) -> np.ndarray | None:
         p = self.arch.dropout
         if not train or p == 0.0:
-            return t
+            return None
         if rng is None:
             raise ValueError("training-mode forward needs an rng for dropout")
-        mask = (rng.random(t.data.shape) >= p) / (1.0 - p)
-        return mul(t, Tensor(mask))
+        return (rng.random(shape) >= p) / (1.0 - p)
+
+    def _block(self, h: Tensor, prefix: str, train: bool,
+               rng: np.random.Generator | None) -> Tensor:
+        """Dropout of silu(layer_norm(h W + b)), the parameters named
+        `prefix`.W/.b/.gamma/.beta, as one tape op."""
+        p = self.params
+        W = p[f"{prefix}.W"]
+        mask = self._dropout_mask((h.data.shape[0], W.data.shape[1]), train, rng)
+        return dense_ln_silu(h, W, p[f"{prefix}.b"], p[f"{prefix}.gamma"],
+                             p[f"{prefix}.beta"], mask)
 
     def encode_rows(self, x: np.ndarray, train: bool = False,
                     rng: np.random.Generator | None = None
@@ -234,25 +244,19 @@ class NkmModel:
         for g in self.arch.groups:
             h = Tensor(x[:, self._slices[g]])
             for i in range(len(self.arch.group_hidden[g])):
-                pre = add(matmul(h, self.params[f"enc.{g}.{i}.W"]),
-                          self.params[f"enc.{g}.{i}.b"])
-                h = silu(layer_norm(pre, self.params[f"enc.{g}.{i}.gamma"],
-                                    self.params[f"enc.{g}.{i}.beta"]))
-                h = self._dropout(h, train, rng)
+                h = self._block(h, f"enc.{g}.{i}", train, rng)
             embeds[g] = h
         cat = concat([embeds[g] for g in self.arch.groups], axis=1)
         fused = silu(add(matmul(cat, self.params["fuse.W"]), self.params["fuse.b"]))
-        fused = self._dropout(fused, train, rng)
+        mask = self._dropout_mask(fused.data.shape, train, rng)
+        if mask is not None:
+            fused = mul(fused, Tensor(mask))
         return fused, embeds
 
     def refine(self, z: Tensor, train: bool = False,
                rng: np.random.Generator | None = None) -> Tensor:
         for i in range(self.arch.n_refine_blocks):
-            pre = add(matmul(z, self.params[f"refine.{i}.W"]),
-                      self.params[f"refine.{i}.b"])
-            blk = silu(layer_norm(pre, self.params[f"refine.{i}.gamma"],
-                                  self.params[f"refine.{i}.beta"]))
-            z = add(z, self._dropout(blk, train, rng))
+            z = add(z, self._block(z, f"refine.{i}", train, rng))
         return z
 
     @staticmethod
@@ -342,11 +346,7 @@ class NkmModel:
                rng: np.random.Generator | None = None) -> Tensor:
         h = z
         for i in range(self.arch.n_decoder_blocks):
-            pre = add(matmul(h, self.params[f"dec.{i}.W"]),
-                      self.params[f"dec.{i}.b"])
-            blk = silu(layer_norm(pre, self.params[f"dec.{i}.gamma"],
-                                  self.params[f"dec.{i}.beta"]))
-            h = add(h, self._dropout(blk, train, rng))
+            h = add(h, self._block(h, f"dec.{i}", train, rng))
         return add(matmul(h, self.params["dec.head.W"]), self.params["dec.head.b"])
 
     def forward(self, X: np.ndarray, train: bool = False,
@@ -377,8 +377,8 @@ class NkmModel:
     # ---- spectral control ----------------------------------------------
 
     def project_spectral(self, rho: float = 0.95) -> None:
-        """Hard projection K <- K / max(1, ||K||_2 / rho), exact norm."""
-        self.K.data = spectral_scale(self.K.data, rho)
+        """Hard projection K <- K / max(1, ||K||_2 / rho), exact norm, in place."""
+        self.K.data[...] = spectral_scale(self.K.data, rho)
 
 
 # ---- checkpointing ------------------------------------------------------
@@ -440,5 +440,5 @@ def load_checkpoint(stem: str) -> tuple[NkmModel, dict]:
     if vec.size != manifest["n_values"]:
         raise ValueError(f"checkpoint binary has {vec.size} values, manifest "
                          f"says {manifest['n_values']}")
-    model.params.from_vector(vec.astype(np.float64))
+    model.params.from_vector(vec)
     return model, manifest

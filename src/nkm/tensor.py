@@ -61,8 +61,11 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # 0.0 + g in the layout of data: the values and layout a zero
+            # array plus g would have, without filling the zeros first
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data))
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         """Backpropagate from a scalar output."""
@@ -308,6 +311,56 @@ def sigmoid(a) -> Tensor:
     return _make(s, (a,), backward)
 
 
+# ---- shared kernels of silu, layer_norm and dense_ln_silu ------------------
+
+def _silu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """d silu(x) given s = sigmoid(x): g*s * (1 + x*(1 - s)), in that order."""
+    t = np.subtract(1.0, s)
+    np.multiply(x, t, out=t)
+    np.add(1.0, t, out=t)
+    gs = g * s
+    return np.multiply(gs, t, out=gs)
+
+
+def _layer_norm_values(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                       eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gamma * xhat + beta, xhat, 1/sqrt(var + eps)) over the last axis.
+
+    Mean and variance take numpy's `mean` and `var` steps (sum, divide by n;
+    subtract, square, sum, divide by n), so the values are theirs bit for
+    bit, but the row sum and the centred array are computed once.
+    """
+    n = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True)
+    np.divide(mu, n, out=mu)
+    xhat = np.subtract(x, mu)
+    out = np.square(xhat)
+    var = np.add.reduce(out, axis=-1, keepdims=True)
+    np.divide(var, n, out=var)
+    np.add(var, eps, out=var)
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    np.multiply(xhat, inv, out=xhat)
+    np.multiply(gamma, xhat, out=out)
+    np.add(out, beta, out=out)
+    return out, xhat, inv
+
+
+def _layer_norm_grad_x(g: np.ndarray, gamma: np.ndarray, xhat: np.ndarray,
+                       inv: np.ndarray) -> np.ndarray:
+    """inv * (dxhat - m1 - xhat*m2), dxhat = g*gamma and m1, m2 the row
+    means of dxhat and dxhat*xhat."""
+    n = xhat.shape[-1]
+    dxhat = g * gamma
+    t = dxhat * xhat
+    m1 = np.add.reduce(dxhat, axis=-1, keepdims=True)
+    np.divide(m1, n, out=m1)
+    m2 = np.add.reduce(t, axis=-1, keepdims=True)
+    np.divide(m2, n, out=m2)
+    np.subtract(dxhat, m1, out=dxhat)
+    np.subtract(dxhat, np.multiply(xhat, m2, out=t), out=dxhat)
+    return np.multiply(inv, dxhat, out=dxhat)
+
+
 def silu(a) -> Tensor:
     """x * sigmoid(x), the swish activation."""
     a = as_tensor(a)
@@ -316,12 +369,7 @@ def silu(a) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            # g*s * (1 + x*(1 - s)), evaluated in that order
-            t = np.subtract(1.0, s)
-            np.multiply(a.data, t, out=t)
-            np.add(1.0, t, out=t)
-            gs = g * s
-            a._accumulate(np.multiply(gs, t, out=gs))
+            a._accumulate(_silu_grad(g, a.data, s))
 
     return _make(out_data, (a,), backward)
 
@@ -330,24 +378,10 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis, then scale and shift.
 
     Population variance; eps guards the zero-variance case so an all-equal
-    row maps to beta exactly. Mean and variance take numpy's `mean` and
-    `var` steps (sum, divide by n; subtract, square, sum, divide by n), so
-    the values are theirs bit for bit, but the row sum and the centred
-    array are computed once.
+    row maps to beta exactly.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    n = x.data.shape[-1]
-    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
-    np.divide(mu, n, out=mu)
-    xhat = np.subtract(x.data, mu)
-    out_data = np.square(xhat)
-    var = np.add.reduce(out_data, axis=-1, keepdims=True)
-    np.divide(var, n, out=var)
-    np.add(var, eps, out=var)
-    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
-    np.multiply(xhat, inv, out=xhat)
-    np.multiply(gamma.data, xhat, out=out_data)
-    np.add(out_data, beta.data, out=out_data)
+    out_data, xhat, inv = _layer_norm_values(x.data, gamma.data, beta.data, eps)
 
     def backward(g):
         if beta.requires_grad:
@@ -355,19 +389,51 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
         if gamma.requires_grad:
             gamma._accumulate(_unbroadcast(g * xhat, gamma.data.shape))
         if x.requires_grad:
-            # inv * (dxhat - m1 - xhat*m2), m1 and m2 the row means of
-            # dxhat and dxhat*xhat
-            dxhat = g * gamma.data
-            t = dxhat * xhat
-            m1 = np.add.reduce(dxhat, axis=-1, keepdims=True)
-            np.divide(m1, n, out=m1)
-            m2 = np.add.reduce(t, axis=-1, keepdims=True)
-            np.divide(m2, n, out=m2)
-            np.subtract(dxhat, m1, out=dxhat)
-            np.subtract(dxhat, np.multiply(xhat, m2, out=t), out=dxhat)
-            x._accumulate(np.multiply(inv, dxhat, out=dxhat))
+            x._accumulate(_layer_norm_grad_x(g, gamma.data, xhat, inv))
 
     return _make(out_data, (x, gamma, beta), backward)
+
+
+def dense_ln_silu(h, W, b, gamma, beta, mask: np.ndarray | None = None,
+                  eps: float = 1e-5) -> Tensor:
+    """silu(layer_norm(h @ W + b, gamma, beta)) * mask as one tape node.
+
+    The values are those of the matmul, add, layer_norm, silu and (with a
+    mask) mul ops composed, and the backward replays their chain in the
+    tape's order, so every input gradient matches the composition's byte for
+    byte. The composed nodes stored their gradients as 0.0 + g, which
+    differs from g only in the sign of a zero; no backward step divides by a
+    gradient, and each input's own first store adds 0.0 again, so the chain
+    skips those stores.
+    """
+    h, W, b = as_tensor(h), as_tensor(W), as_tensor(b)
+    gamma, beta = as_tensor(gamma), as_tensor(beta)
+    pre = h.data @ W.data
+    np.add(pre, b.data, out=pre)
+    ln, xhat, inv = _layer_norm_values(pre, gamma.data, beta.data, eps)
+    s = _stable_sigmoid(ln)
+    act = ln * s
+    out_data = act if mask is None else np.multiply(act, mask, out=act)
+
+    def backward(g):
+        if mask is not None:
+            g = g * mask
+        g_ln = _silu_grad(g, ln, s)
+        if beta.requires_grad:
+            beta._accumulate(_unbroadcast(g_ln, beta.data.shape))
+        if gamma.requires_grad:
+            gamma._accumulate(_unbroadcast(g_ln * xhat, gamma.data.shape))
+        if not (h.requires_grad or W.requires_grad or b.requires_grad):
+            return
+        g_pre = _layer_norm_grad_x(g_ln, gamma.data, xhat, inv)
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g_pre, b.data.shape))
+        if h.requires_grad:
+            h._accumulate(g_pre @ W.data.T)
+        if W.requires_grad:
+            W._accumulate(h.data.T @ g_pre)
+
+    return _make(out_data, (h, W, b, gamma, beta), backward)
 
 
 def reshape(a, shape) -> Tensor:

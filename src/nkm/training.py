@@ -196,7 +196,7 @@ def train(model: NkmModel, train_windows: Windows, val_windows: Windows,
                     covs = koopman_covariances(fwd.z.data, fwd.control.data)
                     g = koopman_grad_closed_form(model.K.data, covs,
                                                  loss_cfg.lambda_koop)
-                    model.K.data = model.K.data - _safe_koopman_step_size(
+                    model.K.data -= _safe_koopman_step_size(
                         covs[0], loss_cfg.lambda_koop) * g
                     model.project_spectral(loss_cfg.rho)
                 for k in sums:

@@ -54,6 +54,16 @@ class TestExitCodes:
         assert rc == 2
         assert "loss.power_iters" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("optim.clip_norm", "-1"), ("optim.clip_norm", "0"),
+        ("optim.weight_decay", "-0.1"), ("optim.plateau_factor", "1.5"),
+        ("optim.plateau_patience", "-1"), ("optim.early_stop_patience", "-2")])
+    def test_optimizer_values_that_break_training(self, tmp_path, capsys, key, value):
+        # a negative clip_norm flipped every gradient and still exited 0
+        rc, _ = run(tmp_path, "o", "train", *TINY, "--set", f"{key}={value}")
+        assert rc == 1
+        assert f"nkm: {key.split('.')[1]}" in capsys.readouterr().err
+
     def test_missing_input_data_file(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "o", "train",
                     "--set", f"data.path={tmp_path / 'nope.csv'}")

@@ -1,11 +1,18 @@
-"""AdamW against a hand-unrolled recurrence, clipping, scheduler, early stop."""
+"""AdamW against a hand-unrolled recurrence, clipping, scheduler, early stop,
+and the flat parameter storage every writer must keep."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from nkm import schema
+from nkm.analysis import verify_descent
+from nkm.data import materialize_fold
+from nkm.model import ArchConfig, NkmModel, load_checkpoint, save_checkpoint
 from nkm.optim import (AdamW, EarlyStopper, OptimConfig, ParamStore,
                        PlateauScheduler, clip_global_norm)
+from nkm.synthetic import SyntheticConfig, generate_synthetic
+from nkm.training import LossConfig, train
 
 
 class TestParamStore:
@@ -80,6 +87,23 @@ class TestAdamW:
         with pytest.raises(ValueError):
             OptimConfig(batch_size=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("clip_norm", -1.0), ("clip_norm", 0.0), ("clip_norm", float("nan")),
+        ("eps", 0.0), ("eps", -1e-8), ("weight_decay", -1e-3),
+        ("plateau_factor", 0.0), ("plateau_factor", 1.5),
+        ("plateau_factor", -0.5), ("plateau_patience", -1),
+        ("early_stop_patience", -1)])
+    def test_config_refuses_values_that_break_training(self, field, value):
+        # a negative clip_norm flips every gradient; zero freezes training
+        with pytest.raises(ValueError, match=field):
+            OptimConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("weight_decay", 0.0), ("plateau_factor", 1.0),
+        ("plateau_patience", 0), ("early_stop_patience", 0)])
+    def test_config_accepts_boundary_values(self, field, value):
+        assert getattr(OptimConfig(**{field: value}), field) == value
+
 
 class TestClip:
     def test_clip_scales_to_max_norm(self):
@@ -132,3 +156,116 @@ class TestSchedules:
         assert es.update(4, 0.95)  # third stale epoch
         assert es.best_epoch == 1
         assert es.best == 0.9
+
+
+def tiny_model(seed: int = 0) -> NkmModel:
+    return NkmModel(ArchConfig(d_z=8, n_heads=2,
+                               group_hidden={g: (6, 4) for g in schema.GROUP_NAMES},
+                               n_refine_blocks=2, n_decoder_blocks=2,
+                               dropout=0.1), seed=seed)
+
+
+def tiny_fold(seed: int = 0):
+    cfg = SyntheticConfig(n_subjects=16, visits_per_subject=5, latent_dim=3)
+    table, _ = generate_synthetic(cfg, seed=seed)
+    return materialize_fold(table, table.unique_subjects()[:4], seed=seed)
+
+
+def assert_views(ps: ParamStore) -> None:
+    """Every parameter's value is its own slice of the store's value vector."""
+    values, _ = ps.flat()
+    assert ps.detached() == []
+    off = 0
+    for t in ps.tensors():
+        assert np.shares_memory(t.data, values)
+        assert t.data.ctypes.data == values[off:].ctypes.data
+        off += t.data.size
+    assert off == values.size
+
+
+class TestFlatStorage:
+    """Parameters are views of one value vector; every writer writes in place."""
+
+    @pytest.mark.parametrize("mode", ["joint", "alternating"])
+    def test_train_keeps_views(self, mode):
+        fold = tiny_fold()
+        model = tiny_model()
+        model.params.flat()
+        train(model, fold.train, fold.val,
+              OptimConfig(lr=3e-3, epochs=2, batch_size=32), LossConfig(),
+              mode=mode, seed=0)
+        assert_views(model.params)
+
+    def test_first_gradients_land_in_the_gradient_vector(self):
+        fold = tiny_fold()
+        model = tiny_model()
+        _, grads = model.params.flat()
+        train(model, fold.train, fold.val,
+              OptimConfig(lr=3e-3, epochs=1, batch_size=32), LossConfig(),
+              seed=0)
+        for t in model.params.tensors():
+            assert t.grad is not None and np.shares_memory(t.grad, grads)
+
+    def test_verify_descent_keeps_views(self):
+        fold = tiny_fold(1)
+        model = tiny_model(1)
+        model.params.flat()
+        verify_descent(model, fold.train, LossConfig(), iters=2)
+        assert_views(model.params)
+
+    def test_load_checkpoint_gives_views(self, tmp_path):
+        stem = str(tmp_path / "m")
+        model = tiny_model(2)
+        save_checkpoint(model, stem)
+        back, _ = load_checkpoint(stem)
+        assert_views(back.params)
+        assert np.array_equal(back.params.to_vector(), model.params.to_vector())
+
+    def test_vector_and_value_loaders_write_in_place(self):
+        model = tiny_model(3)
+        ps = model.params
+        vec = ps.to_vector()
+        ps.from_vector(vec * 2.0)
+        assert_views(ps)
+        assert np.array_equal(ps.to_vector(), vec * 2.0)
+        snapshot = ps.copy_values()
+        ps.from_vector(vec)
+        ps.load_values(snapshot)
+        assert_views(ps)
+        assert np.array_equal(ps.to_vector(), vec * 2.0)
+
+    def test_copy_values_is_detached_from_the_store(self):
+        model = tiny_model(4)
+        snapshot = model.params.copy_values()
+        before = model.params.to_vector()
+        for v in snapshot.values():
+            v += 1.0
+        assert np.array_equal(model.params.to_vector(), before)
+
+    def test_project_spectral_writes_in_place(self):
+        model = tiny_model(5)
+        model.params.flat()
+        model.K.data[...] = 3.0 * np.eye(model.arch.d_z)
+        model.project_spectral(0.95)
+        assert_views(model.params)
+        assert np.linalg.svd(model.params["koopman.K"].data,
+                             compute_uv=False)[0] <= 0.95 + 1e-12
+
+    def test_rebinding_data_makes_adamw_raise(self):
+        ps = ParamStore()
+        w = ps.add("w", np.ones(3))
+        ps.add("b", np.zeros(2))
+        opt = AdamW(ps, OptimConfig(lr=0.1))
+        w.data = np.zeros(3)          # a detached copy, not a write
+        w.grad = np.ones(3)
+        with pytest.raises(RuntimeError, match="w"):
+            opt.step()
+
+    def test_add_after_packing_repacks(self):
+        ps = ParamStore()
+        a = ps.add("a", np.arange(3.0))
+        ps.flat()
+        a.data[0] = 7.0
+        ps.add("b", np.array([5.0]))
+        assert_views(ps)
+        assert np.array_equal(ps.to_vector(), [7.0, 1.0, 2.0, 5.0])

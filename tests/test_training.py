@@ -338,6 +338,30 @@ class TestTrainLoop:
         assert len(k_grads) > 0
         assert all(g is None for g in k_grads)
 
+    @pytest.mark.parametrize("mode,nodes", [("joint", 228), ("alternating", 220)])
+    def test_desk_step_tape_node_count(self, monkeypatch, mode, nodes):
+        # each dense block and R_spec's power iteration are one node apiece
+        table = small_cohort(seed=3)
+        fold = materialize_fold(table, table.unique_subjects()[:6], seed=3)
+        model = NkmModel(ArchConfig(d_z=16, n_heads=4, dropout=0.05), seed=6)
+        backward = Tensor.backward
+        counts = []
+
+        def counted_backward(self):
+            seen, stack = {id(self)}, [self]
+            while stack:
+                for parent in stack.pop()._parents:
+                    if id(parent) not in seen:
+                        seen.add(id(parent))
+                        stack.append(parent)
+            counts.append(len(seen))
+            backward(self)
+
+        monkeypatch.setattr(Tensor, "backward", counted_backward)
+        train(model, fold.train, fold.val, fast_optim(epochs=1, batch_size=64),
+              LossConfig(), mode=mode, seed=7)
+        assert counts and set(counts) == {nodes}
+
     def test_alternating_mode_restores_k_requires_grad(self):
         table = small_cohort(seed=4)
         fold = materialize_fold(table, table.unique_subjects()[:6], seed=4)
