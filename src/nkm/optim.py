@@ -35,8 +35,9 @@ class ParamStore:
     The first call that needs flat storage packs every parameter, in
     declaration order, into one float64 value vector and gives it a view of
     one gradient vector; adding a parameter repacks. From then on each
-    parameter's `.data` is a view of the value vector, so writers must write
-    in place (`t.data[...] = x`); `AdamW.step` refuses a rebound parameter.
+    parameter's `.data` is a view of the value vector. Writing in place
+    (`t.data[...] = x`) needs no copy; a rebound `.data` of the same shape
+    is copied back into its view by the next call that needs flat storage.
     `grad is None` still means "no gradient this step".
     """
 
@@ -72,13 +73,15 @@ class ParamStore:
                 t._grad_view = self._grads[lo:hi].reshape(view.shape)
                 self._layout.append((name, t, view, lo, hi))
                 lo = hi
+        else:
+            for name, t, view, _, _ in self._layout:
+                if t.data is not view:
+                    if np.shape(t.data) != view.shape:
+                        raise ValueError(f"parameter {name!r} was rebound to shape "
+                                         f"{np.shape(t.data)}, expected {view.shape}")
+                    view[...] = t.data
+                    t.data = view
         return self._values, self._grads
-
-    def detached(self) -> list[str]:
-        """Names of parameters whose `.data` is no longer their view of the
-        value vector."""
-        self.flat()
-        return [name for name, t, view, _, _ in self._layout if t.data is not view]
 
     def grad_spans(self) -> list[tuple[int, int]]:
         """[lo, hi) spans in the flat vectors of the parameters that have a
@@ -240,10 +243,6 @@ class AdamW:
         self._scratch = (np.empty(min(n, _CHUNK)), np.empty(min(n, _CHUNK)))
 
     def step(self) -> None:
-        detached = self.params.detached()
-        if detached:
-            raise RuntimeError(f"parameters {detached} were rebound and no longer "
-                               "view the parameter store; write values in place")
         self.t += 1
         b1, b2 = self.cfg.betas
         bc1 = 1.0 - b1 ** self.t

@@ -311,7 +311,10 @@ def sigmoid(a) -> Tensor:
     return _make(s, (a,), backward)
 
 
-# ---- shared kernels of silu, layer_norm and dense_ln_silu ------------------
+# ---- shared kernels of silu and dense_ln_silu -------------------------------
+
+_LN_EPS = 1e-5   # guards a zero-variance row, which then maps to beta exactly
+
 
 def _silu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
     """d silu(x) given s = sigmoid(x): g*s * (1 + x*(1 - s)), in that order."""
@@ -322,9 +325,9 @@ def _silu_grad(g: np.ndarray, x: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.multiply(gs, t, out=gs)
 
 
-def _layer_norm_values(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                       eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(gamma * xhat + beta, xhat, 1/sqrt(var + eps)) over the last axis.
+def _layer_norm_values(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(gamma * xhat + beta, xhat, 1/sqrt(var + _LN_EPS)) over the last axis.
 
     Mean and variance take numpy's `mean` and `var` steps (sum, divide by n;
     subtract, square, sum, divide by n), so the values are theirs bit for
@@ -337,7 +340,7 @@ def _layer_norm_values(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     out = np.square(xhat)
     var = np.add.reduce(out, axis=-1, keepdims=True)
     np.divide(var, n, out=var)
-    np.add(var, eps, out=var)
+    np.add(var, _LN_EPS, out=var)
     inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
     np.multiply(xhat, inv, out=xhat)
     np.multiply(gamma, xhat, out=out)
@@ -374,32 +377,12 @@ def silu(a) -> Tensor:
     return _make(out_data, (a,), backward)
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift.
-
-    Population variance; eps guards the zero-variance case so an all-equal
-    row maps to beta exactly.
-    """
-    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
-    out_data, xhat, inv = _layer_norm_values(x.data, gamma.data, beta.data, eps)
-
-    def backward(g):
-        if beta.requires_grad:
-            beta._accumulate(_unbroadcast(g, beta.data.shape))
-        if gamma.requires_grad:
-            gamma._accumulate(_unbroadcast(g * xhat, gamma.data.shape))
-        if x.requires_grad:
-            x._accumulate(_layer_norm_grad_x(g, gamma.data, xhat, inv))
-
-    return _make(out_data, (x, gamma, beta), backward)
-
-
-def dense_ln_silu(h, W, b, gamma, beta, mask: np.ndarray | None = None,
-                  eps: float = 1e-5) -> Tensor:
+def dense_ln_silu(h, W, b, gamma, beta, mask: np.ndarray | None = None) -> Tensor:
     """silu(layer_norm(h @ W + b, gamma, beta)) * mask as one tape node.
 
-    The values are those of the matmul, add, layer_norm, silu and (with a
-    mask) mul ops composed, and the backward replays their chain in the
+    The layer norm works over the last axis with the population variance.
+    The values are those of a matmul, add, layer norm, silu and (with a
+    mask) mul op composed, and the backward replays their chain in the
     tape's order, so every input gradient matches the composition's byte for
     byte. The composed nodes stored their gradients as 0.0 + g, which
     differs from g only in the sign of a zero; no backward step divides by a
@@ -410,7 +393,7 @@ def dense_ln_silu(h, W, b, gamma, beta, mask: np.ndarray | None = None,
     gamma, beta = as_tensor(gamma), as_tensor(beta)
     pre = h.data @ W.data
     np.add(pre, b.data, out=pre)
-    ln, xhat, inv = _layer_norm_values(pre, gamma.data, beta.data, eps)
+    ln, xhat, inv = _layer_norm_values(pre, gamma.data, beta.data)
     s = _stable_sigmoid(ln)
     act = ln * s
     out_data = act if mask is None else np.multiply(act, mask, out=act)

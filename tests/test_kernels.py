@@ -248,13 +248,26 @@ def test_sigmoid_and_silu_match_reference_bytes(inputs):
 @settings(max_examples=300, deadline=None)
 @given(inputs=kernel_inputs())
 def test_layer_norm_matches_mean_var_reference_bytes(inputs):
+    """The layer-norm kernels: the value, xhat (through gamma's gradient)
+    and the gradient of x, which the reference stores as 0.0 + g."""
     x, g, gamma, beta = inputs
-    assert (run_op(T.layer_norm, x, g, gamma, beta)
-            == run_op(ref_layer_norm, x, g, gamma, beta))
+    with np.errstate(all="ignore"):
+        out, xhat, inv = T._layer_norm_values(x, gamma, beta)
+        got = [out, T._unbroadcast(g * xhat, gamma.shape) + 0.0,
+               T._layer_norm_grad_x(g, gamma, xhat, inv) + 0.0]
+    want = run_op(ref_layer_norm, x, g, gamma, beta)
+    assert [a.tobytes() for a in got] == [want[0], want[2], want[1]]
+
+
+def ln_block(x, gamma, beta) -> T.Tensor:
+    """The layer norm as the model runs it: a dense block with identity
+    weights and a zero bias, so its pre-activation is x exactly."""
+    n = x.data.shape[-1]
+    return T.dense_ln_silu(x, np.eye(n), np.zeros(n), gamma, beta)
 
 
 @pytest.mark.parametrize("op,n_params", [(T.sigmoid, 0), (T.silu, 0),
-                                         (T.layer_norm, 2)])
+                                         pytest.param(ln_block, 2, id="layer_norm-2")])
 def test_kernels_raise_no_floating_point_error_at_800(op, n_params):
     x = np.array([[-800.0, 800.0, -800.0, 0.5], [800.0, 800.0, -800.0, -800.0]])
     ins = [T.Tensor(x, requires_grad=True)] + [

@@ -120,43 +120,43 @@ class TestMatmulReductions:
 class TestLayerNormConcat:
     def test_layer_norm_forward_zero(self):
         # all-zero row maps to beta via the eps guard
-        g = T.Tensor(np.ones(4))
-        b = T.Tensor(np.zeros(4))
-        out = T.layer_norm(T.Tensor(np.zeros((2, 4))), g, b).data
+        out, _, _ = T._layer_norm_values(np.zeros((2, 4)), np.ones(4), np.zeros(4))
         assert np.array_equal(out, np.zeros((2, 4)))
 
     def test_layer_norm_forward_known(self):
         # row (1,2,3): mean 2, population var 2/3 -> xhat = (-1,0,1)/sqrt(2/3+eps)
         x = np.array([[1.0, 2.0, 3.0]])
-        out = T.layer_norm(T.Tensor(x), T.Tensor(np.ones(3)), T.Tensor(np.zeros(3)),
-                           eps=1e-5).data
+        out, _, _ = T._layer_norm_values(x, np.ones(3), np.zeros(3))
         want = (x - 2.0) / np.sqrt(2.0 / 3.0 + 1e-5)
         assert np.allclose(out, want, atol=1e-12)
 
     def test_layer_norm_grads(self):
+        # the x-gradient kernel against differences of the value kernel
         gamma0 = RNG.standard_normal(6)
         beta0 = RNG.standard_normal(6)
         x0 = RNG.standard_normal((3, 6))
+        c = RNG.standard_normal((3, 6))
+        _, xhat, inv = T._layer_norm_values(x0, gamma0, beta0)
+        got = T._layer_norm_grad_x(c, gamma0, xhat, inv)
+        want = fd_grad(lambda x: float(np.sum(c * T._layer_norm_values(x, gamma0, beta0)[0])),
+                       x0.copy())
+        assert np.allclose(got, want, atol=1e-6)
 
-        check_against_fd(
-            lambda x: T.tsum(T.square(T.layer_norm(x, T.Tensor(gamma0), T.Tensor(beta0)))),
-            x0, rtol=1e-5)
+    def test_dense_ln_silu_grads(self):
+        h0 = RNG.standard_normal((5, 4))
+        mask = (RNG.random((5, 3)) >= 0.3) / 0.7
+        ins0 = [RNG.standard_normal(s) for s in ((4, 3), (3,), (3,), (3,))]
 
-        # gamma and beta sides
-        xt = T.Tensor(x0)
-        gt = T.Tensor(gamma0.copy(), requires_grad=True)
-        bt = T.Tensor(beta0.copy(), requires_grad=True)
-        out = T.tsum(T.square(T.layer_norm(xt, gt, bt)))
-        out.backward()
+        def block(*ins):
+            return T.tsum(T.square(T.dense_ln_silu(*ins, mask)))
 
-        def fg(arr):
-            return T.tsum(T.square(T.layer_norm(xt, T.Tensor(arr), T.Tensor(beta0)))).item()
-
-        def fb(arr):
-            return T.tsum(T.square(T.layer_norm(xt, T.Tensor(gamma0), T.Tensor(arr)))).item()
-
-        assert np.allclose(gt.grad, fd_grad(fg, gamma0.copy()), atol=1e-5)
-        assert np.allclose(bt.grad, fd_grad(fb, beta0.copy()), atol=1e-5)
+        check_against_fd(lambda h: block(h, *ins0), h0, rtol=1e-5)
+        for i, p0 in enumerate(ins0):
+            def f(p, i=i):
+                ins = [T.Tensor(a) for a in ins0]
+                ins[i] = p
+                return block(T.Tensor(h0), *ins)
+            check_against_fd(f, p0, rtol=1e-5)
 
     def test_reshape(self):
         x0 = RNG.standard_normal((3, 4))
