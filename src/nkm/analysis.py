@@ -21,7 +21,7 @@ from .data import (VisitTable, Windows, materialize_fold, train_val_split,
                    visit_runs)
 from .edmd import EdmdModel
 from .linalg import max_abs_eigenvalue
-from .model import ArchConfig, NkmModel
+from .model import ArchConfig, NkmModel, window_rows
 from .optim import OptimConfig
 from .tensor import no_grad
 from .training import (LossConfig, composite_loss, evaluate_predictions,
@@ -85,46 +85,58 @@ class BoundReport:
                 "limit": self.limit, "passed": self.passed}
 
 
-def _bound_states(model: NkmModel | EdmdModel, table: VisitTable
-                  ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """(Z, C, seq): lifted states, subject by subject in visit order, with
-    each state's subject in seq. NKM states are the refined latents and
-    controls of every window end position, from one forward pass; EDMD
-    states lift each visit of the subjects with two or more, and C is None."""
+def _bound_runs(model: NkmModel | EdmdModel, table: VisitTable
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, seq): the `visit_runs` rows of every lifted state, subject by
+    subject in visit order, and each state's subject. An NKM state is a
+    window, ending at each visit that has w - 1 before it; an EDMD state is
+    one visit of a subject with two or more."""
     if isinstance(model, NkmModel):
         if not np.all(np.isfinite(table.X)):
             raise ValueError("bound harness requires imputed (finite) features")
         rows, seq, _ = visit_runs(table, model.arch.window)
         if not len(rows):
             raise ValueError("no subject has enough visits for one window")
-        with no_grad():
-            fwd = model.forward(table.X[rows])
-        return fwd.z_last.data, fwd.control.data, seq
+        return rows, seq
     model._require_fitted()
     rows, seq, _ = visit_runs(table, 1)
     paired = np.bincount(seq)[seq] >= 2
     if not paired.any():
         raise ValueError("no subject has two visits")
-    return model.lift(table.X[rows[paired, 0]]), None, seq[paired]
+    return rows[paired], seq[paired]
+
+
+def _bound_states(model: NkmModel | EdmdModel, table: VisitTable,
+                  rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(Z, C): the lifted states of `_bound_runs` rows. NKM states are the
+    refined final latents and controls of the windows, from one latent pass;
+    EDMD states lift the visits, and C is None."""
+    if isinstance(model, NkmModel):
+        _, z_last, c = model.latents(table.X, rows)
+        return z_last, c
+    return model.lift(table.X[rows[:, 0]]), None
 
 
 def verify_bound(model: NkmModel | EdmdModel, table: VisitTable,
                  tau_max: int = 20) -> BoundReport:
     """Measure eps_t on the data, then assert the tau-step rollout error
     stays under the geometric bound for every tau <= tau_max. NKM rollouts
-    reuse the measured per-step controls; EDMD rollouts are autonomous."""
+    reuse the measured per-step controls; EDMD rollouts are autonomous.
+    The premises, ||K||_2 < 1 and a subject with tau_max + 1 states, are
+    checked before any state is lifted."""
     if tau_max < 1:
         raise ValueError("tau_max must be >= 1")
-    Z, C, seq = _bound_states(model, table)
+    rows, seq = _bound_runs(model, table)
     K = model.K.data if isinstance(model, NkmModel) else model.K
     norm_k = float(np.linalg.svd(K, compute_uv=False)[0])
     if norm_k >= 1.0:
         raise ValueError(f"bound requires ||K||_2 < 1, measured {norm_k:.6g}")
-
     longest = int(np.bincount(seq).max())
     if longest < tau_max + 1:
         raise ValueError(f"tau_max={tau_max} needs a sequence of "
                          f"{tau_max + 1} lifted states; longest is {longest}")
+    Z, C = _bound_states(model, table, rows)
+
     # the tau = 1 rollout below repeats these operations, so empirical[0] == eps
     k = np.flatnonzero(seq[1:] == seq[:-1])
     eps = measure_eps(Z[k], Z[k + 1], K, None if C is None else C[k])
@@ -264,10 +276,7 @@ def rollout_latents(model: NkmModel, windows: Windows, steps: int = 5
     z <- K z + c, reusing the window's own control at every step."""
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    with no_grad():
-        fwd = model.forward(windows.X)
-    z = fwd.z_last.data
-    c = fwd.control.data
+    _, z, c = model.latents(*window_rows(windows.X))
     K = model.K.data
     out = np.empty((z.shape[0], steps + 1, z.shape[1]))
     out[:, 0] = z

@@ -12,12 +12,17 @@ and V projection each), c_feat over the G group embeddings, both in `_attend`.
 One forward pass encodes and refines all B*w visits of a batch at once, as
 visit-major rows: row t*B + b is visit t of window b. All array math runs on
 the autodiff tape; diagnostics (attention weights, gate) are detached copies.
-`predict` runs under `no_grad` and builds no tape.
+`predict` runs under `no_grad` and builds no tape. `latents` is the no-grad
+pass for the consumers of z and c alone (the bound harness, latent rollouts,
+`verify_descent`'s covariances): it encodes each distinct visit of
+overlapping windows once and runs no decoder.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -38,6 +43,10 @@ _DESK_HIDDEN = {"genetic": (12, 8), "csf": (12, 8), "pet": (12, 8),
                 "mri": (24, 12), "demo": (12, 8)}
 _FULL_HIDDEN = {"genetic": (90, 20), "csf": (90, 20), "pet": (90, 20),
                 "mri": (180, 120), "demo": (90, 20)}
+
+
+def _finite(v) -> bool:
+    return isinstance(v, numbers.Real) and math.isfinite(v)
 
 
 @dataclass
@@ -75,6 +84,12 @@ class ArchConfig:
             raise ValueError("dropout must be in [0, 1)")
         if self.n_refine_blocks < 0 or self.n_decoder_blocks < 0:
             raise ValueError("block counts must be >= 0")
+        # init_koopman clips every singular value to rho_init: a negative one
+        # flips K to -U V^T with ||K||_2 = 1, and zero leaves R_spec non-finite
+        if not (_finite(self.sigma_init) and self.sigma_init >= 0):
+            raise ValueError("sigma_init must be a finite number >= 0")
+        if not (_finite(self.rho_init) and self.rho_init > 0):
+            raise ValueError("rho_init must be a finite number > 0")
 
     @property
     def d_k(self) -> int:
@@ -141,6 +156,19 @@ def transition_rows(n_rows: int, B: int) -> tuple[slice, slice]:
     """(rows of z_t, rows of z_{t+1}) over every in-window transition of
     visit-major latents like `ForwardOut.z`."""
     return slice(0, n_rows - B), slice(B, n_rows)
+
+
+def window_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Windows (B, w, 44) as the visit matrix and row indices that
+    `NkmModel.latents` takes: the visits stacked visit-major, as `forward`
+    encodes them, and window b's rows b, B + b, ..., (w-1)B + b."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 3:
+        raise ValueError(f"expected windows (B, w, {schema.N_FEATURES}), "
+                         f"got {X.shape}")
+    B, w = X.shape[:2]
+    visits = X.transpose(1, 0, 2).reshape(w * B, X.shape[2])
+    return visits, np.arange(w * B).reshape(w, B).T
 
 
 class NkmModel:
@@ -373,6 +401,36 @@ class NkmModel:
         """Eval-mode predictions (B, 3); builds no tape."""
         with no_grad():
             return self.forward(X).pred.data
+
+    def latents(self, visits: np.ndarray, rows: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Eval-mode latents and controls of windows given as row indices,
+        without the decoder; builds no tape.
+
+        visits is a (m, 44) visit matrix and rows (n, w) indices into it, one
+        window per row, as `visit_runs` returns them (w = arch.window). Every
+        visit that some window uses is encoded and refined once, however many
+        windows share it; the windows are then gathered visit-major as in
+        `forward`. Returns (z, z_last, c): z (w*n, d_z) with row t*n + b visit
+        t of window b, z_last (n, d_z) its last n rows, c (n, d_z) the
+        controls. These equal `forward`'s z, z_last and control up to BLAS
+        rounding of the changed row count; the desk-size tests find them
+        bitwise equal.
+        """
+        rows = np.asarray(rows)
+        w = self.arch.window
+        if rows.ndim != 2 or rows.shape[1] != w:
+            raise ValueError(f"expected window rows (n, {w}), got {rows.shape}")
+        used, inverse = np.unique(rows, return_inverse=True)
+        gather = inverse.reshape(rows.shape).T.ravel()      # visit-major
+        last = slice((w - 1) * rows.shape[0], None)
+        with no_grad():
+            z_used, embeds = self.encode_rows(np.asarray(visits)[used])
+            z = self.refine(z_used).data[gather]
+            embeds_last = {g: Tensor(h.data[gather[last]])
+                           for g, h in embeds.items()}
+            c = self.control(Tensor(z), Tensor(z[last]), embeds_last)[0]
+        return z, z[last], c.data
 
     # ---- spectral control ----------------------------------------------
 

@@ -21,7 +21,7 @@ import numpy as np
 from .data import FoldData, VisitTable, Windows, materialize_fold, subject_kfold
 from .linalg import pinv, spectral_norm_differentiable
 from .model import (ABLATION_SETUPS, AblationFlags, ArchConfig, NkmModel,
-                    transition_rows)
+                    transition_rows, window_rows)
 from .optim import AdamW, EarlyStopper, OptimConfig, PlateauScheduler, clip_global_norm
 from .tensor import (Tensor, add, matmul, mul, no_grad, relu, reshape, square,
                      sub, take_rows, transpose, tsum)
@@ -99,9 +99,9 @@ def koopman_covariances(z: np.ndarray, control: np.ndarray
 
 
 def model_covariances(model: NkmModel, X: np.ndarray):
-    with no_grad():
-        fwd = model.forward(X)
-    return koopman_covariances(fwd.z.data, fwd.control.data)
+    """`koopman_covariances` of the eval-mode latents of windows X."""
+    z, _, c = model.latents(*window_rows(X))
+    return koopman_covariances(z, c)
 
 
 def koopman_grad_closed_form(K: np.ndarray, covs, lambda_koop: float) -> np.ndarray:

@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from nkm.analysis import (BoundReport, _bound_states, bound_limit, export_latents,
-                          feature_importance, fit_pca, geometric_bound,
-                          measure_eps, rollout_latents, verify_bound,
-                          verify_descent, write_latents_csv)
+from nkm.analysis import (BoundReport, _bound_runs, _bound_states, bound_limit,
+                          export_latents, feature_importance, fit_pca,
+                          geometric_bound, measure_eps, rollout_latents,
+                          verify_bound, verify_descent, write_latents_csv)
 from nkm.data import VisitTable, build_windows, materialize_fold
 from nkm.edmd import EdmdConfig, EdmdModel
 from nkm.model import AblationFlags, ArchConfig, NkmModel, full_arch
@@ -126,8 +126,8 @@ class TestVerifyBound:
         (ArchConfig(d_z=16, n_heads=4, dropout=0.05), 0.0),
         (full_arch(), 1e-12)])
     def test_sequences_match_per_subject_forward(self, arch, atol):
-        # one forward over every subject's windows, against one forward per
-        # subject: bitwise at desk size, BLAS rounding at 360
+        # one latent pass over every subject's windows, against one forward
+        # per subject: bitwise at desk size, BLAS rounding at 360
         full = long_cohort(seed=3, n_subjects=7, visits=6, missing_rate=0.2)
         first = full.subject_ids[0]
         keep = np.array([s != first or v < 2     # too short for one window
@@ -149,10 +149,11 @@ class TestVerifyBound:
                     fwd = model.forward(stack)
                 want.append((i, fwd.z_last.data, fwd.control.data))
         calls = []
-        forward = model.forward
-        model.forward = lambda *a, **kw: calls.append(1) or forward(*a, **kw)
-        Z, C, seq = _bound_states(model, table)
-        assert len(calls) == 1
+        encode = model.encode_rows
+        model.encode_rows = lambda x, *a, **kw: calls.append(len(x)) or encode(x, *a, **kw)
+        rows, seq = _bound_runs(model, table)
+        Z, C = _bound_states(model, table, rows)
+        assert calls == [len(np.unique(rows))]
         assert len(want) == 6 and len(np.unique(seq)) == 6
         assert Z.shape == C.shape == (sum(len(z) for _, z, _ in want), arch.d_z)
         for i, z_ref, c_ref in want:
@@ -160,6 +161,44 @@ class TestVerifyBound:
                                   np.arange(len(z_ref)) + np.searchsorted(seq, i))
             assert np.allclose(Z[seq == i], z_ref, rtol=0.0, atol=atol)
             assert np.allclose(C[seq == i], c_ref, rtol=0.0, atol=atol)
+
+    @staticmethod
+    def spy(model, monkeypatch):
+        """Record the rows of every encode_rows call and count decode calls."""
+        encoded, decoded = [], []
+        encode, decode = model.encode_rows, model.decode
+        monkeypatch.setattr(model, "encode_rows", lambda x, *a, **kw:
+                            encoded.append(np.array(x)) or encode(x, *a, **kw))
+        monkeypatch.setattr(model, "decode", lambda *a, **kw:
+                            decoded.append(1) or decode(*a, **kw))
+        return encoded, decoded
+
+    def test_encodes_each_used_visit_once_and_never_decodes(self, monkeypatch):
+        table = long_cohort(seed=5, n_subjects=6, visits=6)
+        short = table.subject_ids[0]     # two visits: too short for a window
+        keep = np.array([s != short or v < 2
+                         for s, v in zip(table.subject_ids, table.visits)])
+        table = VisitTable([s for s, k in zip(table.subject_ids, keep) if k],
+                           table.visits[keep], table.X[keep], table.Y[keep])
+        model = NkmModel(tiny_arch(), seed=5)
+        model.project_spectral(0.95)
+        encoded, decoded = self.spy(model, monkeypatch)
+        verify_bound(model, table, tau_max=3)
+        used = [i for i, s in enumerate(table.subject_ids) if s != short]
+        assert len(encoded) == 1 and decoded == []
+        assert np.array_equal(encoded[0], table.X[used])
+
+    def test_premises_fail_before_any_state_is_encoded(self, monkeypatch):
+        table = long_cohort(seed=6, visits=5)
+        model = NkmModel(tiny_arch(), seed=6)
+        model.project_spectral(0.95)
+        encoded, _ = self.spy(model, monkeypatch)
+        with pytest.raises(ValueError, match="tau_max=3 needs"):
+            verify_bound(model, table, tau_max=3)
+        model.K.data = 1.2 * np.eye(model.arch.d_z)
+        with pytest.raises(ValueError, match="requires"):
+            verify_bound(model, table, tau_max=1)
+        assert encoded == []
 
     def test_unprojected_norm_raises_domain_error(self):
         table = long_cohort(seed=1)

@@ -64,6 +64,17 @@ class TestExitCodes:
         assert rc == 1
         assert f"nkm: {key.split('.')[1]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("model.rho_init", "-1"), ("model.rho_init", "0"),
+        ("model.sigma_init", "nan")])
+    def test_koopman_init_values_that_break_training(self, tmp_path, capsys,
+                                                     key, value):
+        # rho_init=-1 exited 0 with ||K||_2 = 1; sigma_init=nan died with a
+        # numpy traceback
+        rc, _ = run(tmp_path, "o", "train", *TINY, "--set", f"{key}={value}")
+        assert rc == 1
+        assert f"nkm: {key.split('.')[1]}" in capsys.readouterr().err
+
     def test_missing_input_data_file(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "o", "train",
                     "--set", f"data.path={tmp_path / 'nope.csv'}")

@@ -257,6 +257,17 @@ class TestKoopman:
             assert s <= 0.99 + 1e-12
             assert np.linalg.norm(K - np.eye(12)) < 0.2
 
+    @pytest.mark.parametrize("key,value", [
+        ("rho_init", -1.0), ("rho_init", 0.0), ("rho_init", float("nan")),
+        ("rho_init", float("inf")), ("rho_init", "0.9"),
+        ("sigma_init", -1e-3), ("sigma_init", float("nan")),
+        ("sigma_init", float("inf")), ("sigma_init", "nan")])
+    def test_init_values_validated(self, key, value):
+        # rho_init = -1 built K = -U V^T with ||K||_2 = 1; 0 gave a non-finite
+        # R_spec in epoch 0; the string "nan" raised a numpy type error
+        with pytest.raises(ValueError, match=key):
+            tiny_arch(**{key: value})
+
     def test_project_spectral(self):
         m = NkmModel(tiny_arch(), seed=0)
         m.K.data = 3.0 * np.random.default_rng(2).standard_normal((8, 8))
@@ -358,6 +369,26 @@ class TestForward:
         assert all(t.grad is None for _, t in m.params.items())
         # recording is back on after predict
         assert m.forward(X).pred.requires_grad
+
+    def test_latents_match_forward_on_shared_visits(self, monkeypatch):
+        m = NkmModel(tiny_arch(), seed=7)
+        visits = rand_windows(n=6, w=1, seed=3)[:, 0]
+        rows = np.array([[0, 1, 2], [1, 2, 3], [2, 3, 4], [4, 0, 5]])
+        encoded = []
+        encode = m.encode_rows
+        monkeypatch.setattr(m, "encode_rows", lambda x, *a, **kw:
+                            encoded.append(len(x)) or encode(x, *a, **kw))
+        z, z_last, c = m.latents(visits, rows)
+        assert encoded == [6]
+        want = m.forward(visits[rows])
+        assert np.array_equal(z, want.z.data)
+        assert np.array_equal(z_last, want.z_last.data)
+        assert np.array_equal(c, want.control.data)
+
+    def test_latents_reject_rows_of_another_width(self):
+        m = NkmModel(tiny_arch())
+        with pytest.raises(ValueError, match="window rows"):
+            m.latents(rand_windows(n=4, w=1)[:, 0], np.array([[0, 1], [1, 2]]))
 
     def test_full_arch_builds(self):
         arch = full_arch()

@@ -1,12 +1,17 @@
-"""`visit_runs` against the per-subject loops it replaced.
+"""`visit_runs` against the per-subject loops it replaced, and the latent
+pass over its rows against the forward pass it replaced.
 
 The references below are the loops that windows, EDMD snapshot pairs and
 the bound harness each ran before they shared `nkm.data.visit_runs`: a
-subject -> visit-sorted rows map, then one pass per subject.
+subject -> visit-sorted rows map, then one pass per subject. The `forward_*`
+references are the bound states, latent rollouts and Koopman covariances as
+they were built from `NkmModel.forward` before `NkmModel.latents`.
 """
 from __future__ import annotations
 
 import functools
+import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,12 +19,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nkm import schema
-from nkm.analysis import geometric_bound, measure_eps, verify_bound
-from nkm.data import VisitTable, build_windows, visit_runs
+from nkm import analysis
+from nkm.analysis import (geometric_bound, measure_eps, rollout_latents,
+                          verify_bound)
+from nkm.data import VisitTable, Windows, build_windows, visit_runs
 from nkm.edmd import EdmdConfig, EdmdModel, RbfDictionary, fit_dictionary, fit_edmd
-from nkm.model import ArchConfig, NkmModel
+from nkm.model import (ABLATION_SETUPS, AblationFlags, ArchConfig, NkmModel,
+                       full_arch)
 from nkm.synthetic import SyntheticConfig, generate_synthetic
 from nkm.tensor import no_grad
+from nkm.training import koopman_covariances, model_covariances
 
 SEEDS = st.integers(0, 2**32 - 1)
 BOUND_RTOL = 1e-9
@@ -131,13 +140,51 @@ def ref_verify_bound(model, table, tau_max):
     return eps, norm_k, empirical, passed
 
 
+def forward_bound_states(model: NkmModel, table: VisitTable):
+    """(Z, C, seq) of the NKM bound harness from one `forward` over the
+    materialized windows."""
+    rows, seq, _ = visit_runs(table, model.arch.window)
+    with no_grad():
+        fwd = model.forward(table.X[rows])
+    return fwd.z_last.data, fwd.control.data, seq
+
+
+def forward_rollout_latents(model: NkmModel, windows: Windows, steps: int):
+    with no_grad():
+        fwd = model.forward(windows.X)
+    z, c, K = fwd.z_last.data, fwd.control.data, model.K.data
+    out = np.empty((z.shape[0], steps + 1, z.shape[1]))
+    out[:, 0] = z
+    for j in range(steps):
+        z = z @ K.T + c
+        out[:, j + 1] = z
+    return out
+
+
+def forward_model_covariances(model: NkmModel, X: np.ndarray):
+    with no_grad():
+        fwd = model.forward(X)
+    return koopman_covariances(fwd.z.data, fwd.control.data)
+
+
+def forward_verify_bound(model: NkmModel, table: VisitTable, tau_max: int):
+    """`verify_bound` with its states taken from `forward_bound_states`."""
+    def states(model, table, rows):
+        Z, C, seq = forward_bound_states(model, table)
+        assert np.array_equal(seq, visit_runs(table, model.arch.window)[1])
+        return Z, C
+
+    with mock.patch.object(analysis, "_bound_states", states):
+        return verify_bound(model, table, tau_max=tau_max)
+
+
 # ---- tables ----------------------------------------------------------------
 
 @st.composite
-def tables(draw, nan_targets=True):
-    """Subjects with 0-9 visits (a subject with none has no rows), visit
-    numbers with gaps, rows shuffled, some targets missing."""
-    per_subject = draw(st.lists(st.integers(0, 9), max_size=8))
+def tables(draw, nan_targets=True, min_visits=0):
+    """Subjects with min_visits-9 visits (a subject with none has no rows),
+    visit numbers with gaps, rows shuffled, some targets missing."""
+    per_subject = draw(st.lists(st.integers(min_visits, 9), max_size=8))
     nan_rate = draw(st.sampled_from([0.0, 0.3])) if nan_targets else 0.0
     rng = np.random.default_rng(draw(SEEDS))
     ids = [f"S{i}" for i, v in enumerate(per_subject) for _ in range(v)]
@@ -286,3 +333,79 @@ def test_bound_errors_keep_their_order():
     with pytest.raises(ValueError, match="no subject has two visits"):
         verify_bound(edmd_model(), single, tau_max=1)
     assert_reports_match(edmd_model(), single, 1)
+
+
+# ---- latent pass -----------------------------------------------------------
+
+FULL_ARCH_RTOL = 1e-12   # BLAS rounding of the 360-wide layers
+
+
+@functools.lru_cache(maxsize=None)
+def latent_model(window: int, setup: str, demo: bool) -> NkmModel:
+    groups = schema.GROUP_NAMES if demo else [g for g in schema.GROUP_NAMES
+                                              if g != "demo"]
+    arch = ArchConfig(d_z=8, n_heads=2, window=window, groups=tuple(groups),
+                      group_hidden={g: (6, 4) for g in groups},
+                      n_refine_blocks=2, n_decoder_blocks=2, dropout=0.0)
+    model = NkmModel(arch, seed=window, ablation=AblationFlags.from_name(setup))
+    model.project_spectral(0.9)
+    return model
+
+
+def assert_latent_pass_matches_forward(model, table, tau_max, same):
+    rows = visit_runs(table, model.arch.window)[0]
+    try:
+        want = json.dumps(forward_verify_bound(model, table, tau_max).to_dict())
+    except ValueError as exc:
+        want = str(exc)
+    try:
+        got = json.dumps(verify_bound(model, table, tau_max=tau_max).to_dict())
+    except ValueError as exc:
+        got = str(exc)
+    same(got, want)
+    if not len(rows):
+        return
+    windows = Windows(table.X[rows], np.zeros((len(rows), schema.N_TARGETS)),
+                      [""] * len(rows), np.zeros(len(rows), dtype=np.int64))
+    same(rollout_latents(model, windows, steps=3),
+         forward_rollout_latents(model, windows, 3))
+    for a, b in zip(model_covariances(model, windows.X),
+                    forward_model_covariances(model, windows.X)):
+        same(a, b)
+
+
+def byte_equal(a, b):
+    if isinstance(a, str):
+        assert a == b
+    else:
+        assert same_bytes(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(table=tables(nan_targets=False, min_visits=1), window=st.integers(2, 4),
+       setup=st.sampled_from(ABLATION_SETUPS), demo=st.booleans(),
+       tau_max=st.integers(1, 5))
+def test_latent_pass_byte_equal_to_forward(table, window, setup, demo, tau_max):
+    assert_latent_pass_matches_forward(latent_model(window, setup, demo), table,
+                                       tau_max, byte_equal)
+
+
+def test_latent_pass_matches_forward_at_full_arch():
+    cfg = SyntheticConfig(n_subjects=5, visits_per_subject=6, latent_dim=3)
+    full, _ = generate_synthetic(cfg, seed=3)
+    first = full.subject_ids[0]          # two visits: too short for a window
+    keep = [i for i in np.random.default_rng(3).permutation(len(full))
+            if full.subject_ids[i] != first or full.visits[i] < 2]
+    table = VisitTable([full.subject_ids[i] for i in keep], full.visits[keep],
+                       full.X[keep], full.Y[keep])
+    fields = ("eps_tilde", "norm_k", "lambda_max", "empirical", "bound", "limit")
+
+    def close(a, b):
+        if isinstance(a, str):
+            a, b = json.loads(a), json.loads(b)
+            assert a["taus"] == b["taus"] and a["passed"] == b["passed"]
+            a, b = (np.hstack([r[k] for k in fields]) for r in (a, b))
+        assert np.max(np.abs(a - b)) <= FULL_ARCH_RTOL * np.max(np.abs(b))
+
+    assert_latent_pass_matches_forward(NkmModel(full_arch(), seed=3), table,
+                                       3, close)
