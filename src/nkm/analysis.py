@@ -382,9 +382,9 @@ def feature_importance(table: VisitTable, runs: int = 50, seed: int = 0,
             train(model, fold.train, fold.val, optim_cfg, loss_cfg, seed=rs)
 
         with no_grad():
-            fwd = model.forward(fold.test.X)
-        beta_sum += fwd.beta.mean(axis=0)
-        base_r = evaluate_predictions(fold.test.y, fwd.pred.data,
+            beta_sum += model.forward(fold.test.X).beta.mean(axis=0)
+        # the baseline comes from the same path as the permuted predictions
+        base_r = evaluate_predictions(fold.test.y, model.predict(fold.test.X),
                                       targets).pearson
 
         rng = np.random.default_rng(rs)

@@ -133,6 +133,10 @@ def _load_nkm(cfg: dict, prefix: str):
     if not pre_path.exists():
         raise FileNotFoundError(f"preprocessor file not found: {pre_path}")
     model, manifest = load_checkpoint(cfg[f"{prefix}.model"])
+    if cfg["data.window"] != model.arch.window:
+        raise ValueError(f"data.window={cfg['data.window']} differs from "
+                         f"arch.window={model.arch.window} of the checkpoint "
+                         f"{cfg[f'{prefix}.model']}")
     pre = Preprocessor.load(pre_path)
     table, _ = _load_table(cfg)
     prepped = table.with_features(pre.transform(table.X))
@@ -201,14 +205,19 @@ def _cmd_train(cfg: dict, out_dir: Path) -> None:
     fold, result = _fit_nkm(cfg, table, [])
     save_checkpoint(result.model, str(out_dir / "model"),
                     history=result.history)
-    fold.preprocessor.save(out_dir / "preprocessor.npz")
+    pre_file = "preprocessor.npz"
+    fold.preprocessor.save(out_dir / pre_file)
+    pre_rows = fold.preprocessor.train_std_.shape[0]
     metrics = evaluate(result.model, fold.val)
     _write_metrics_csv(out_dir / "metrics.csv",
                        metrics.rows(cfg["model.ablation"]))
     _write_report(out_dir, {"train": result.report(),
-                            "val_metrics": metrics.to_dict()})
+                            "val_metrics": metrics.to_dict(),
+                            "preprocessor": {"file": pre_file,
+                                             "train_rows": pre_rows}})
     print(f"best val loss {result.best_val:.6f} at epoch {result.best_epoch}; "
-          f"checkpoint at {out_dir / 'model'}.json/.bin")
+          f"checkpoint at {out_dir / 'model'}.json/.bin; "
+          f"{out_dir / pre_file} ({pre_rows} train rows)")
 
 
 def _cmd_eval(cfg: dict, out_dir: Path) -> None:

@@ -9,13 +9,15 @@ Per window of w standardized visits the model computes
     y_hat = decode(K z_last^ref + c_t)
 c_time attends over the w refined states (n_heads column blocks of one Q, K
 and V projection each), c_feat over the G group embeddings, both in `_attend`.
-One forward pass encodes and refines all B*w visits of a batch at once, as
-visit-major rows: row t*B + b is visit t of window b. All array math runs on
-the autodiff tape; diagnostics (attention weights, gate) are detached copies.
-`predict` runs under `no_grad` and builds no tape. `latents` is the no-grad
-pass for the consumers of z and c alone (the bound harness, latent rollouts,
-`verify_descent`'s covariances): it encodes each distinct visit of
-overlapping windows once and runs no decoder.
+`forward` serves training and the loss: it encodes and refines all B*w
+visits of a batch at once, as visit-major rows (row t*B + b is visit t of
+window b), so that dropout draws a mask for every occurrence of a visit. All
+its array math runs on the autodiff tape; diagnostics (attention weights,
+gate) are detached copies. `latents` is the one no-grad pass: it encodes and
+refines each distinct visit of overlapping windows once, then runs the
+control, and builds no tape. `predict` decodes K z_last + c from it; the
+bound harness, latent rollouts and `verify_descent`'s covariances read z and
+c from it directly.
 """
 from __future__ import annotations
 
@@ -160,15 +162,25 @@ def transition_rows(n_rows: int, B: int) -> tuple[slice, slice]:
 
 def window_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Windows (B, w, 44) as the visit matrix and row indices that
-    `NkmModel.latents` takes: the visits stacked visit-major, as `forward`
-    encodes them, and window b's rows b, B + b, ..., (w-1)B + b."""
+    `NkmModel.latents` takes: each distinct visit row once, and window b's
+    indices into those rows in visit order.
+
+    Rows count as the same when their bytes are equal (so 0.0 and -0.0
+    differ, and a NaN row is kept for the encoder to refuse). One
+    `np.unique` over a byte view of the rows finds them; the distinct rows
+    come out in the order of their bytes. Overlapping sliding windows share
+    most visits: a 1000-window batch over w = 3 holds 3,000 visit rows, of
+    which often only a few hundred are distinct.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3:
         raise ValueError(f"expected windows (B, w, {schema.N_FEATURES}), "
                          f"got {X.shape}")
-    B, w = X.shape[:2]
-    visits = X.transpose(1, 0, 2).reshape(w * B, X.shape[2])
-    return visits, np.arange(w * B).reshape(w, B).T
+    B, w, f = X.shape
+    flat = np.ascontiguousarray(X).reshape(B * w, f)
+    keys = flat.view(np.dtype((np.void, flat.itemsize * f))).ravel()
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return distinct.view(np.float64).reshape(-1, f), inverse.reshape(B, w)
 
 
 class NkmModel:
@@ -377,14 +389,21 @@ class NkmModel:
             h = add(h, self._block(h, f"dec.{i}", train, rng))
         return add(matmul(h, self.params["dec.head.W"]), self.params["dec.head.b"])
 
-    def forward(self, X: np.ndarray, train: bool = False,
-                rng: np.random.Generator | None = None) -> ForwardOut:
-        """Windows (B, w, 44) -> next-visit predictions plus diagnostics."""
+    def _check_windows(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         a = self.arch
         if X.ndim != 3 or X.shape[1] != a.window or X.shape[2] != schema.N_FEATURES:
             raise ValueError(f"expected windows (B, {a.window}, {schema.N_FEATURES}), "
                              f"got {X.shape}")
+        return X
+
+    def forward(self, X: np.ndarray, train: bool = False,
+                rng: np.random.Generator | None = None) -> ForwardOut:
+        """Windows (B, w, 44) -> next-visit predictions plus diagnostics, on
+        the tape; every visit of every window is encoded, so that training
+        draws a dropout mask per occurrence."""
+        X = self._check_windows(X)
+        a = self.arch
         B = X.shape[0]
         rows = X.transpose(1, 0, 2).reshape(a.window * B, schema.N_FEATURES)
         z_enc, embeds = self.encode_rows(rows, train=train, rng=rng)
@@ -398,9 +417,17 @@ class NkmModel:
         return ForwardOut(pred, c, z_next, z, z_last, alpha, beta, gate)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Eval-mode predictions (B, 3); builds no tape."""
+        """Eval-mode predictions (B, 3) of windows (B, w, 44): decode
+        K z_last + c from the latent pass, which encodes each distinct visit
+        once; builds no tape. Equals `forward(X).pred` up to BLAS rounding of
+        the changed row count, which the desk-size tests find bitwise equal
+        unless the batch holds a single distinct visit."""
+        X = self._check_windows(X)
+        if not len(X):
+            return np.zeros((0, schema.N_TARGETS))
+        _, z_last, c = self.latents(*window_rows(X))
         with no_grad():
-            return self.forward(X).pred.data
+            return self.decode(self.koopman_step(Tensor(z_last), Tensor(c))).data
 
     def latents(self, visits: np.ndarray, rows: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -408,24 +435,27 @@ class NkmModel:
         without the decoder; builds no tape.
 
         visits is a (m, 44) visit matrix and rows (n, w) indices into it, one
-        window per row, as `visit_runs` returns them (w = arch.window). Every
-        visit that some window uses is encoded and refined once, however many
-        windows share it; the windows are then gathered visit-major as in
-        `forward`. Returns (z, z_last, c): z (w*n, d_z) with row t*n + b visit
-        t of window b, z_last (n, d_z) its last n rows, c (n, d_z) the
-        controls. These equal `forward`'s z, z_last and control up to BLAS
-        rounding of the changed row count; the desk-size tests find them
-        bitwise equal.
+        window per row, as `visit_runs` and `window_rows` return them
+        (w = arch.window). Every visit that some window uses is encoded and
+        refined once, however many windows share it; the windows are then
+        gathered visit-major as in `forward`. Returns (z, z_last, c): z
+        (w*n, d_z) with row t*n + b visit t of window b, z_last (n, d_z) its
+        last n rows, c (n, d_z) the controls. These equal `forward`'s z,
+        z_last and control up to BLAS rounding of the changed row count; the
+        desk-size tests find them bitwise equal.
         """
         rows = np.asarray(rows)
         w = self.arch.window
         if rows.ndim != 2 or rows.shape[1] != w:
             raise ValueError(f"expected window rows (n, {w}), got {rows.shape}")
-        used, inverse = np.unique(rows, return_inverse=True)
-        gather = inverse.reshape(rows.shape).T.ravel()      # visit-major
+        visits = np.asarray(visits)
+        used = np.zeros(len(visits), dtype=bool)
+        used[rows] = True
+        # position of each used visit among the used ones, in visit order
+        gather = (np.cumsum(used) - 1)[rows.T].ravel()      # visit-major
         last = slice((w - 1) * rows.shape[0], None)
         with no_grad():
-            z_used, embeds = self.encode_rows(np.asarray(visits)[used])
+            z_used, embeds = self.encode_rows(visits[used])
             z = self.refine(z_used).data[gather]
             embeds_last = {g: Tensor(h.data[gather[last]])
                            for g, h in embeds.items()}

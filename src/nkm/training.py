@@ -316,6 +316,9 @@ def evaluate_predictions(y_true: np.ndarray, y_pred: np.ndarray,
 
 def evaluate(model: NkmModel, windows: Windows) -> EvalMetrics:
     from . import schema
+    if not len(windows):
+        raise ValueError(f"no windows to evaluate: a window needs "
+                         f"{model.arch.window} visits and a next one")
     return evaluate_predictions(windows.y, model.predict(windows.X),
                                 schema.TARGET_COLUMNS)
 

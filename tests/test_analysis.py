@@ -375,6 +375,21 @@ class TestFeatureImportance:
         for t in report.per_target:
             assert report.per_target[t][f_idx] == 0.0
 
+    def test_constant_column_has_exactly_zero_importance_at_full_arch(self):
+        # Shuffling a column that is constant across the test windows leaves
+        # them byte for byte as they were, so the permuted r must equal the
+        # baseline r exactly: both come from `predict`. `forward` encodes
+        # every visit of every window; at full_arch and 200 test windows
+        # (600 visit rows, 280 distinct) the changed row count moves its
+        # predictions in the last bits.
+        table = long_cohort(seed=13, n_subjects=200, visits=8)
+        f_idx = FEATURE_COLUMNS.index("CSF_TAU")
+        table.X[:, f_idx] = 0.25
+        report = feature_importance(table, runs=1, seed=0, arch=full_arch(),
+                                    train_models=False)
+        for t in report.per_target:
+            assert report.per_target[t][f_idx] == 0.0
+
     def test_report_structure(self):
         table = long_cohort(seed=10, n_subjects=12, visits=5)
         report = feature_importance(table, runs=2, seed=1, arch=tiny_arch(),

@@ -166,10 +166,14 @@ class TestTrainEval:
         report = json.loads((out / "report.json").read_text())
         assert report["train"]["best_epoch"] >= 0
         assert len(report["train"]["epochs"]) >= 1
+        with np.load(out / "preprocessor.npz") as z:
+            stored = z["train_std"].shape[0]
+        assert report["preprocessor"] == {"file": "preprocessor.npz",
+                                          "train_rows": stored}
         with open(out / "metrics.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert {r["target"] for r in rows} == {"ADAS13", "MMSE", "CDRSB"}
-        capsys.readouterr()
+        assert f"preprocessor.npz ({stored} train rows)" in capsys.readouterr().out
 
     def test_eval_round_trip(self, tmp_path, capsys):
         _, t = run(tmp_path, "t", "train", "--seed", "3", *TINY)
@@ -196,6 +200,29 @@ class TestTrainEval:
                     "--set", "data.n_subjects=10", "--set", "data.visits=5")
         assert rc == 1
         assert "bad.npz" in capsys.readouterr().err
+
+    def test_eval_on_a_cohort_too_short_for_a_window(self, tmp_path, capsys):
+        _, t = run(tmp_path, "t", "train", "--seed", "3", *TINY)
+        rc, _ = run(tmp_path, "e", "eval",
+                    "--set", f"eval.model={t / 'model'}",
+                    "--set", f"eval.preprocessor={t / 'preprocessor.npz'}",
+                    "--set", "data.n_subjects=10", "--set", "data.visits=3")
+        assert rc == 1
+        assert "no windows" in capsys.readouterr().err
+
+    def test_eval_refuses_a_window_other_than_the_checkpoints(self, tmp_path,
+                                                              capsys):
+        _, t = run(tmp_path, "t", "train", "--seed", "3", *TINY)
+        rc, out = run(tmp_path, "e", "eval",
+                      "--set", f"eval.model={t / 'model'}",
+                      "--set", f"eval.preprocessor={t / 'preprocessor.npz'}",
+                      "--set", "data.n_subjects=10", "--set", "data.visits=5",
+                      "--set", "data.window=4")
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "data.window=4" in err and "arch.window=3" in err
+        assert str(t / "model") in err
+        assert not (out / "report.json").exists()
 
     def test_eval_missing_checkpoint(self, tmp_path, capsys):
         _, t = run(tmp_path, "t", "train", "--seed", "3", *TINY)

@@ -7,9 +7,14 @@ import numpy as np
 import pytest
 
 from nkm import schema
+from nkm.data import Windows
 from nkm.model import (ABLATION_SETUPS, AblationFlags, ArchConfig, NkmModel,
                        full_arch, init_koopman, load_checkpoint, save_checkpoint)
 from nkm.tensor import Tensor
+from nkm.training import evaluate
+
+
+FULL_ARCH_RTOL = 1e-12   # BLAS rounding of the 360-wide layers
 
 
 def np_sigmoid(x):
@@ -311,6 +316,25 @@ class TestForward:
         with pytest.raises(ValueError, match="windows"):
             m.forward(np.zeros((2, 3, 7)))
 
+    def test_predict_refuses_bad_windows(self):
+        m = NkmModel(tiny_arch())
+        for shape in ((2, 2, schema.N_FEATURES), (2, 3, 7), (3, schema.N_FEATURES)):
+            with pytest.raises(ValueError, match="windows"):
+                m.predict(np.zeros(shape))
+        X = rand_windows(n=2)
+        X[1, 2, 5] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            m.predict(X)
+
+    def test_no_windows_predict_empty_and_evaluate_refuses(self):
+        m = NkmModel(tiny_arch())
+        got = m.predict(np.zeros((0, m.arch.window, schema.N_FEATURES)))
+        assert got.shape == (0, schema.N_TARGETS) and got.dtype == np.float64
+        none = Windows(np.zeros((0, m.arch.window, schema.N_FEATURES)),
+                       np.zeros((0, schema.N_TARGETS)), [], np.zeros(0, int))
+        with pytest.raises(ValueError, match="no windows"):
+            evaluate(m, none)
+
     def test_dropout_needs_rng_and_perturbs(self):
         m = NkmModel(tiny_arch(dropout=0.5), seed=0)
         X = rand_windows(n=3)
@@ -353,22 +377,49 @@ class TestForward:
         X = rand_windows(n=4)
         want = m.forward(X).pred.data
         outs = []
-        forward = m.forward
+        decode = m.decode
 
         def recording(*args, **kwargs):
-            outs.append(forward(*args, **kwargs))
+            outs.append(decode(*args, **kwargs))
             return outs[-1]
 
-        monkeypatch.setattr(m, "forward", recording)
+        def refuse(*args, **kwargs):
+            raise AssertionError("predict must not run forward")
+
+        monkeypatch.setattr(m, "decode", recording)
+        monkeypatch.setattr(m, "forward", refuse)
         m.params.zero_grad()
         got = m.predict(X)
         assert np.array_equal(got, want)
         (out,) = outs
-        for t in (out.pred, out.control, out.z, out.z_last):
-            assert not t.requires_grad and t._parents == ()
+        assert not out.requires_grad and out._parents == ()
         assert all(t.grad is None for _, t in m.params.items())
         # recording is back on after predict
+        monkeypatch.undo()
         assert m.forward(X).pred.requires_grad
+
+    def test_predict_encodes_each_distinct_visit_once(self, monkeypatch):
+        m = NkmModel(ArchConfig(), seed=2)
+        visits = rand_windows(n=7, w=1, seed=9)[:, 0]
+        sliding = np.stack([visits[b:b + 3] for b in range(5)])
+        X = np.concatenate([sliding, sliding[::-1], visits[[[6, 6, 6]]]])
+        encoded = []
+        encode = m.encode_rows
+        monkeypatch.setattr(m, "encode_rows", lambda x, *a, **kw:
+                            encoded.append(len(x)) or encode(x, *a, **kw))
+        got = m.predict(X)
+        assert encoded == [7]
+        assert np.array_equal(got, m.forward(X).pred.data)
+
+    def test_predict_matches_forward_at_full_arch(self):
+        # 200 sliding windows over 40 seven-visit sequences: 600 visit rows,
+        # 280 distinct. BLAS may round the two row counts differently.
+        m = NkmModel(full_arch(), seed=5)
+        visits = rand_windows(n=40 * 7, w=1, seed=11)[:, 0].reshape(40, 7, -1)
+        X = np.concatenate([[seq[b:b + 3] for b in range(5)] for seq in visits])
+        want = m.forward(X).pred.data
+        got = m.predict(X)
+        assert np.max(np.abs(got - want)) <= FULL_ARCH_RTOL * np.max(np.abs(want))
 
     def test_latents_match_forward_on_shared_visits(self, monkeypatch):
         m = NkmModel(tiny_arch(), seed=7)

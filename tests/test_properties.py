@@ -2,8 +2,10 @@
 KNN imputation, CSV round trip, window counts, fold disjointness."""
 from __future__ import annotations
 
+import functools
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nkm import schema
@@ -11,6 +13,7 @@ from nkm.data import (Preprocessor, VisitTable, build_windows, load_visits_csv,
                       materialize_fold, subject_kfold, write_visits_csv)
 from nkm.model import ABLATION_SETUPS, AblationFlags, ArchConfig, NkmModel
 from nkm.synthetic import SyntheticConfig, generate_synthetic
+from nkm.tensor import no_grad
 from nkm.training import koopman_covariances
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -44,6 +47,46 @@ def test_batched_forward_equals_per_window(B, window, n_heads, setup, seed):
                           (out.beta[b], one.beta[0]),
                           (out.gate[b], one.gate[0])]:
             assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@functools.lru_cache(maxsize=None)
+def desk_model(seed: int, setup: str) -> NkmModel:
+    return NkmModel(ArchConfig(), seed=seed,
+                    ablation=AblationFlags.from_name(setup))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_visits=st.integers(1, 8), B=st.integers(1, 12), sliding=st.booleans(),
+       setup=st.sampled_from(ABLATION_SETUPS), seed=SEEDS)
+@example(n_visits=3, B=1, sliding=True, setup="full", seed=2)     # B = 1
+@example(n_visits=6, B=4, sliding=True, setup="full", seed=1)     # overlapping
+@example(n_visits=1, B=3, sliding=False, setup="full", seed=2)    # one visit
+@example(n_visits=2, B=8, sliding=False, setup="full", seed=3)    # repeats
+def test_predict_equals_forward_bytes_at_desk_size(n_visits, B, sliding,
+                                                   setup, seed):
+    """The encode-once latent pass gives `forward`'s predictions byte for
+    byte, whether windows overlap, repeat whole, or repeat a visit inside
+    one window, as long as the batch holds two distinct visits. (Two
+    visits over w = 3 repeat a visit inside every window.)"""
+    m = desk_model(seed % 4, setup)
+    w = m.arch.window
+    rng = np.random.default_rng(seed)
+    pool = rng.standard_normal((n_visits, schema.N_FEATURES))
+    if sliding:
+        seq = rng.integers(0, n_visits, B + w - 1)
+        idx = np.stack([seq[b:b + w] for b in range(B)])
+    else:
+        idx = rng.integers(0, n_visits, (B, w))
+    X = pool[idx]
+    with no_grad():
+        want = m.forward(X).pred.data
+    got = m.predict(X)
+    if len(np.unique(idx)) > 1:
+        assert np.array_equal(got, want)
+    else:
+        # one distinct visit is one encoder row, a product that takes the
+        # BLAS matrix-vector path: it may round the last bit differently
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @settings(max_examples=50, deadline=None)
