@@ -13,9 +13,9 @@ and V projection each), c_feat over the G group embeddings, both in `_attend`.
 visits of a batch at once, as visit-major rows (row t*B + b is visit t of
 window b), so that dropout draws a mask for every occurrence of a visit. All
 its array math runs on the autodiff tape; diagnostics (attention weights,
-gate) are detached copies. `latents` is the one no-grad pass: it encodes and
-refines each distinct visit of overlapping windows once, then runs the
-control, and builds no tape. `predict` decodes K z_last + c from it; the
+gate) are detached copies. `latents` is the pass of every consumer that
+needs no loss: it encodes and refines each distinct visit of overlapping
+windows once, then runs the control, and builds no tape. `predict` decodes K z_last + c from it; the
 bound harness, latent rollouts and `verify_descent`'s covariances read z and
 c from it directly.
 """
