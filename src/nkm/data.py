@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -221,57 +222,79 @@ def train_val_split(subjects: list[str], val_frac: float = 0.2,
     return order[n_val:], order[:n_val]
 
 
-# Query rows per block of `_nearest`: each (block, n_train) temporary takes
-# 0.25 MB at 2,048 train rows whatever the number of query rows, and 64-row
-# blocks measured slower.
-_BLOCK = 16
+# Query rows per block of `_nearest`. With OpenBLAS the distance GEMM takes
+# 7.9 ms per 640 query rows against 2,048 train rows in 16-row blocks and
+# 4.7 ms in 64-row blocks, and whole transforms ran no faster in 128-row
+# blocks. Each (block, n_train) temporary takes 1 MB at 2,048 train rows,
+# whatever the number of query rows.
+_BLOCK = 64
 
 
-def _nearest(Q: np.ndarray, T0: np.ndarray, t_obs: np.ndarray, Rt: np.ndarray,
-             k: int) -> np.ndarray:
+def _nearest(Q: np.ndarray, T0: np.ndarray, t_obs: np.ndarray, R: np.ndarray,
+             t_sq_max: float, k: int) -> np.ndarray:
     """The k nearest train rows of each query row, as (len(Q), k) indices.
 
-    T0 is the standardized train matrix with NaN set to 0 and t_obs its
-    observed mask; Rt stacks (T0 * T0).T over t_obs.T. The distance is the
-    squared Euclidean distance over co-observed features, rows with no
+    T0 is the standardized train matrix with NaN set to 0, t_obs its
+    observed mask, R stacks T0 * T0, t_obs and -2 T0 side by side, and
+    t_sq_max is the largest squared norm of a row of T0. The distance is
+    the squared Euclidean distance over co-observed features, rows with no
     co-observed feature are not neighbours, ties go to the lower train
     index, and a row with fewer than k neighbours is padded with -1. The
     neighbours are exactly those of a stable sort of every train row by
-    `((T0 - q0) * co) ** 2` summed with einsum: a GEMM expansion
+    `((T0 - q0) * co) ** 2` summed with einsum: one GEMM expansion
     shortlists the candidates, and that arithmetic orders them.
+
+    Rounding, u = eps/2, for a query q and a train row t with s = |t|^2 +
+    |q|^2. The GEMM's nonzero terms are t^2, q^2 and -2tq over co-observed
+    features, each rounded once, with absolute values summing to at most
+    2s, so the expansion is within 3n u * 2s of the exact distance, to
+    first order, in any summation order. The einsum value is within
+    (n + 2)u * 2s, as (t - q)^2 <= 2(t^2 + q^2). So the two differ by at
+    most e = (4n + 3) eps * s, the extra eps * s covering second-order
+    terms and the rounding of the threshold below, plus `tiny` for the 4n
+    products that may underflow. e grows with s, which t_sq_max bounds for
+    every train row; it stays small, as a fitted standardized train value
+    is at most sqrt(n_train - 1) in magnitude (Samuelson's inequality).
+    Every intermediate value is at most 2s in magnitude, so where 2s could
+    overflow, e is inf and every row is a candidate.
     """
     n_train, n = T0.shape
     q_obs = ~np.isnan(Q)
     Q0 = np.where(q_obs, Q, 0.0)
     q_f = q_obs.astype(np.float64)
-    # S = sum over co-observed features of t^2 + q^2; d = S - 2 sum tq
-    S = np.hstack([q_f, Q0 * Q0]) @ Rt
-    d = Q0 @ T0.T
-    d *= -2.0
-    d += S
-    d[q_f @ Rt[n:] == 0.0] = np.inf    # exact: counts of co-observed features
-    # Rounding, u = eps/2. S is a dot product of 2n terms and sum tq one of
-    # n terms with |tq| <= (t^2 + q^2)/2, so d is within (3n + 3)u * S of the
-    # exact distance, to first order. The einsum value is within
-    # (n + 2)u * 2S, as (t - q)^2 <= 2(t^2 + q^2). Their difference is below
-    # a * S for n >= 7, plus `tiny` for products that underflow.
-    a = 3 * n * np.finfo(np.float64).eps
-    tiny = 4 * n * np.finfo(np.float64).smallest_subnormal
-    # A row among the k nearest by einsum has d <= kth + its own a*S + tiny
-    # + the largest a*S + tiny among the k nearest by d. Those k rows have
-    # S <= 2 kth + 3|q|^2, as t^2 <= 2(t - q)^2 + 2q^2, which bounds the
-    # latter without finding them. NaN compares False: such a row is kept
-    # for the exact check.
     m = min(k, n_train)
-    kth = np.partition(d, m - 1, axis=1)[:, m - 1]
-    q_sq = np.einsum("ij,ij->i", Q0, Q0)
-    bound = kth + a * (2.0 * kth + 3.0 * q_sq) + 2.0 * tiny
-    S *= a
-    S += bound[:, None]
-    r, c = np.divmod(np.flatnonzero(~(d > S)), n_train)
-    co = t_obs[c] & q_obs[r]
-    diff = (T0[c] - Q0[r]) * co
-    dist = np.einsum("ij,ij->i", diff, diff)
+    # Overflow needs no warning: NaN compares False, so such a row stays a
+    # candidate, and the re-check never makes an inf distance a neighbour.
+    with np.errstate(over="ignore", invalid="ignore"):
+        Q0_sq = Q0 * Q0
+        # sum over co-observed features of t^2 + q^2 - 2tq; every term of a
+        # row sharing no observed feature with the query is exactly 0
+        d = np.hstack([q_f, Q0_sq, Q0]) @ R.T
+        part = np.partition(d, m - 1, axis=1)
+        kth = part[:, m - 1]
+        # A row with no co-observed feature lowers kth only from among the
+        # m smallest, as a 0 (a NaN from overflow sorts last). Where one
+        # may, count co-observed features exactly and take the kth again
+        # without those rows.
+        lone = np.flatnonzero((part[:, :m] == 0.0).any(axis=1))
+        if lone.size:
+            has_co = q_f[lone] @ R[:, n:2 * n].T > 0.0
+            kth[lone] = np.partition(np.where(has_co, d[lone], np.inf), m - 1,
+                                     axis=1)[:, m - 1]
+        # The m rows at or below kth are within e of their einsum distance,
+        # so the k nearest by einsum are all within kth + 2e.
+        s = t_sq_max + Q0_sq.sum(axis=1)
+        fp = np.finfo(np.float64)
+        tiny = 4 * n * fp.smallest_subnormal
+        e = (4 * n + 3) * fp.eps * s + tiny
+        e[~(s <= fp.max / 4)] = np.inf
+        cand = ~(d > (kth + 2.0 * e)[:, None])
+        if lone.size:
+            cand[lone] &= has_co
+        r, c = np.divmod(np.flatnonzero(cand), n_train)
+        co = t_obs[c] & q_obs[r]
+        diff = (T0[c] - Q0[r]) * co
+        dist = np.einsum("ij,ij->i", diff, diff)
     ok = co.any(axis=1) & np.isfinite(dist)
     r, c, dist = r[ok], c[ok], dist[ok]
     order = np.lexsort((c, dist, r))    # by query row, distance, train row
@@ -315,6 +338,11 @@ class Preprocessor:
     """
 
     def __init__(self, k: int = 5, std_floor: float = 1e-8):
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {k!r}")
+        if (isinstance(std_floor, bool) or not isinstance(std_floor, numbers.Real)
+                or not (math.isfinite(std_floor) and std_floor >= 0)):
+            raise ValueError(f"std_floor must be a finite number >= 0, got {std_floor!r}")
         self.k = k
         self.std_floor = std_floor
         self.mean_: np.ndarray | None = None
@@ -355,8 +383,12 @@ class Preprocessor:
         T = self.train_std_
         t_obs = ~np.isnan(T)
         T0 = np.where(t_obs, T, 0.0)
-        Rt = np.vstack([(T0 * T0).T, t_obs.T])
-        nb = np.concatenate([_nearest(Z[nan_rows[s:s + _BLOCK]], T0, t_obs, Rt, self.k)
+        with np.errstate(over="ignore"):
+            T0_sq = T0 * T0
+            R = np.hstack([T0_sq, t_obs, -2.0 * T0])
+            t_sq_max = T0_sq.sum(axis=1).max()
+        nb = np.concatenate([_nearest(Z[nan_rows[s:s + _BLOCK]], T0, t_obs, R,
+                                      t_sq_max, self.k)
                              for s in range(0, nan_rows.size, _BLOCK)])
         r, j = np.nonzero(np.isnan(Z[nan_rows]))
         Z[nan_rows[r], j] = _neighbour_means(T, nb[r], j)

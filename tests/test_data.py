@@ -272,6 +272,26 @@ class TestPreprocessor:
             Preprocessor.load(bad)
         assert "bad.npz" in str(err.value)
 
+    @pytest.mark.parametrize("k", [0, -1, 2.5, 3.0, True, "3", None],
+                             ids=["zero", "negative", "fraction", "float",
+                                  "bool", "str", "none"])
+    def test_constructor_refuses_bad_k(self, k):
+        # k = 0 would fill every missing cell with the column mean; -1 and
+        # 2.5 would fail deep inside the KNN step
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
+            Preprocessor(k=k)
+
+    @pytest.mark.parametrize("std_floor", [-1e-8, np.nan, np.inf, "0", None, True],
+                             ids=["negative", "nan", "inf", "str", "none", "bool"])
+    def test_constructor_refuses_bad_std_floor(self, std_floor):
+        with pytest.raises(ValueError, match="std_floor must be a finite number >= 0"):
+            Preprocessor(std_floor=std_floor)
+
+    @pytest.mark.parametrize("k, std_floor", [(1, 0.0), (np.int64(7), 0), (12, np.float32(1e-6))])
+    def test_constructor_accepts_usable_values(self, k, std_floor):
+        pre = Preprocessor(k=k, std_floor=std_floor)
+        assert (pre.k, pre.std_floor) == (k, std_floor)
+
     def test_load_refuses_missing_array(self, tmp_path):
         state = self._saved_state(tmp_path)
         del state["train_std"]

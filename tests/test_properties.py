@@ -5,11 +5,12 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nkm import schema
-from nkm.data import (Preprocessor, VisitTable, build_windows, load_visits_csv,
+from nkm.data import (_BLOCK, Preprocessor, VisitTable, build_windows, load_visits_csv,
                       materialize_fold, subject_kfold, write_visits_csv)
 from nkm.model import ABLATION_SETUPS, AblationFlags, ArchConfig, NkmModel
 from nkm.synthetic import SyntheticConfig, generate_synthetic
@@ -128,9 +129,11 @@ def test_projection_keeps_exact_norm_within_rho(d, log_scale, rho, seed):
         assert after >= rho * (1.0 - 1e-12)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def knn_reference(pre: Preprocessor, X: np.ndarray) -> np.ndarray:
     """Per-row KNN imputation: one full distance scan and stable argsort per
-    row with a NaN, then one mean per missing cell."""
+    row with a NaN, then one mean per missing cell. A distance that
+    overflows is inf or NaN, and such a row is not a neighbour."""
     Z = (np.asarray(X, dtype=np.float64) - pre.mean_) / pre.std_
     T = pre.train_std_
     t_obs = ~np.isnan(T)
@@ -167,6 +170,13 @@ def random_features(rng, n: int, nan_rate: float, grid: bool, scale: float = 1.0
 @given(n_train=st.integers(1, 40), n_query=st.integers(1, 40), k=st.integers(1, 12),
        nan_rate=st.sampled_from([0.0, 0.2, 0.6, 0.95]), grid=st.booleans(),
        dup=st.booleans(), log_scale=st.floats(-3.0, 3.0), seed=SEEDS)
+# fewer train rows than k
+@example(n_train=1, n_query=30, k=7, nan_rate=0.2, grid=False, dup=False,
+         log_scale=0.0, seed=1)
+@example(n_train=3, n_query=30, k=7, nan_rate=0.6, grid=False, dup=False,
+         log_scale=0.0, seed=3)
+@example(n_train=6, n_query=30, k=12, nan_rate=0.2, grid=True, dup=True,
+         log_scale=0.0, seed=6)
 def test_knn_imputation_matches_per_row_reference(n_train, n_query, k, nan_rate, grid,
                                                  dup, log_scale, seed):
     rng = np.random.default_rng(seed)
@@ -198,6 +208,103 @@ def test_knn_imputation_matches_reference_on_missing_cohort():
         got = pre.transform(X)
         assert np.isfinite(got).all()
         assert got.tobytes() == knn_reference(pre, X).tobytes()
+
+
+def expanded_distances(pre: Preprocessor, Q: np.ndarray) -> np.ndarray:
+    """The GEMM expansion t^2 + q^2 - 2tq over co-observed features that
+    shortlists neighbours, for checking that a test reaches a path."""
+    T = pre.train_std_
+    t_obs = ~np.isnan(T)
+    T0 = np.where(t_obs, T, 0.0)
+    q_obs = ~np.isnan(Q)
+    Q0 = np.where(q_obs, Q, 0.0)
+    return np.hstack([q_obs, Q0 * Q0, Q0]) @ np.hstack([T0 * T0, t_obs, -2.0 * T0]).T
+
+
+def test_knn_rows_without_a_co_observed_feature_fill_the_smallest_slots():
+    # 30 train rows observe only features 0-9 and the queries only 20-43:
+    # those rows expand to exactly 0, below every neighbour's distance
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((40, schema.N_FEATURES))
+    X[:30, 10:] = np.nan
+    Q = rng.standard_normal((9, schema.N_FEATURES)) + 3.0
+    Q[:, :20] = np.nan
+    for k in (1, 5, 12):
+        pre = Preprocessor(k=k).fit(X)
+        Z = (Q - pre.mean_) / pre.std_
+        assert np.all(np.sort(expanded_distances(pre, Z), axis=1)[:, :30] == 0.0)
+        assert pre.transform(Q).tobytes() == knn_reference(pre, Q).tobytes()
+
+
+def test_knn_near_duplicates_whose_expansion_rounds_below_zero():
+    # six near-copies of each train row and queries within an ulp of them:
+    # the expansion of a distance of about 1e-30 rounds to +-1e-14, so the
+    # kth smallest of many rows is below zero, and the copies expand in
+    # another order than their exact distances
+    rng = np.random.default_rng(0)
+    base = np.repeat(rng.standard_normal((20, schema.N_FEATURES)) * 3.0, 6, axis=0)
+    X = base * (1.0 + 1e-15 * rng.standard_normal(base.shape))
+    Q = base[::6] * (1.0 + 1e-15 * rng.standard_normal((20, schema.N_FEATURES)))
+    Q[:, 0] = np.nan
+    pre = Preprocessor(k=5).fit(X)
+    Z = (Q - pre.mean_) / pre.std_
+    kth = np.partition(expanded_distances(pre, Z), 4, axis=1)[:, 4]
+    assert np.sum(kth < 0.0) >= 5
+    assert pre.transform(Q).tobytes() == knn_reference(pre, Q).tobytes()
+
+
+def test_knn_block_of_all_nan_queries():
+    # no train row shares a feature with any query of the first two blocks;
+    # every missing cell gets the train column mean
+    rng = np.random.default_rng(4)
+    X = random_features(rng, 50, 0.2, grid=False)
+    X[0] = 1.0
+    Q = np.vstack([np.full((2 * _BLOCK, schema.N_FEATURES), np.nan),
+                   random_features(rng, 5, 0.2, grid=False)])
+    pre = Preprocessor(k=5).fit(X)
+    got = pre.transform(Q)
+    assert np.all(got[:2 * _BLOCK] == 0.0)
+    assert got.tobytes() == knn_reference(pre, Q).tobytes()
+
+
+def test_knn_queries_span_several_blocks_with_a_ragged_last_one():
+    rng = np.random.default_rng(5)
+    X = random_features(rng, 300, 0.2, grid=True)
+    X[0] = 1.0
+    Q = random_features(rng, 3 * _BLOCK + 17, 0.1, grid=True)
+    Q[::7] = 0.5    # rows without a NaN sit between the imputed ones
+    n_imputed = np.isnan(Q).any(axis=1).sum()
+    assert n_imputed > 2 * _BLOCK and n_imputed % _BLOCK
+    for k in (1, 5):
+        pre = Preprocessor(k=k).fit(X)
+        assert pre.transform(Q).tobytes() == knn_reference(pre, Q).tobytes()
+
+
+def test_knn_matches_reference_at_score_missing_size():
+    # 2,048 train rows and 640 held-out rows with 20 % missing cells, the
+    # shape the score-missing benchmark imputes
+    rng = np.random.default_rng(6)
+    X = random_features(rng, 2048, 0.2, grid=False)
+    Q = random_features(rng, 640, 0.2, grid=False)
+    pre = Preprocessor().fit(X)
+    assert pre.transform(Q).tobytes() == knn_reference(pre, Q).tobytes()
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_knn_queries_whose_expansion_overflows(scale):
+    # q^2 overflows past about 1.3e154: a train row that observes a huge
+    # cell is at an inf distance, so the neighbours are rows missing it
+    rng = np.random.default_rng(7)
+    X = random_features(rng, 60, 0.3, grid=False)
+    X[0] = 1.0
+    Q = random_features(rng, 12, 0.3, grid=False)
+    Q[:4] *= scale
+    Q[4:, 1] = scale
+    Q[4:, 2] = np.nan
+    pre = Preprocessor(k=5).fit(X)
+    got = pre.transform(Q)
+    assert np.all(np.isfinite(got[:, 2]))
+    assert got.tobytes() == knn_reference(pre, Q).tobytes()
 
 
 def one_hot_features(rng, n: int, nan_rate: float) -> np.ndarray:
