@@ -261,7 +261,6 @@ def _nearest(Q: np.ndarray, T0: np.ndarray, t_obs: np.ndarray, R: np.ndarray,
     n_train, n = T0.shape
     q_obs = ~np.isnan(Q)
     Q0 = np.where(q_obs, Q, 0.0)
-    q_f = q_obs.astype(np.float64)
     m = min(k, n_train)
     # Overflow needs no warning: NaN compares False, so such a row stays a
     # candidate, and the re-check never makes an inf distance a neighbour.
@@ -269,7 +268,7 @@ def _nearest(Q: np.ndarray, T0: np.ndarray, t_obs: np.ndarray, R: np.ndarray,
         Q0_sq = Q0 * Q0
         # sum over co-observed features of t^2 + q^2 - 2tq; every term of a
         # row sharing no observed feature with the query is exactly 0
-        d = np.hstack([q_f, Q0_sq, Q0]) @ R.T
+        d = np.hstack([q_obs, Q0_sq, Q0]) @ R.T
         part = np.partition(d, m - 1, axis=1)
         kth = part[:, m - 1]
         # A row with no co-observed feature lowers kth only from among the
@@ -278,7 +277,7 @@ def _nearest(Q: np.ndarray, T0: np.ndarray, t_obs: np.ndarray, R: np.ndarray,
         # without those rows.
         lone = np.flatnonzero((part[:, :m] == 0.0).any(axis=1))
         if lone.size:
-            has_co = q_f[lone] @ R[:, n:2 * n].T > 0.0
+            has_co = q_obs[lone] @ R[:, n:2 * n].T > 0.0
             kth[lone] = np.partition(np.where(has_co, d[lone], np.inf), m - 1,
                                      axis=1)[:, m - 1]
         # The m rows at or below kth are within e of their einsum distance,
@@ -289,7 +288,7 @@ def _nearest(Q: np.ndarray, T0: np.ndarray, t_obs: np.ndarray, R: np.ndarray,
         e = (4 * n + 3) * fp.eps * s + tiny
         e[~(s <= fp.max / 4)] = np.inf
         cand = ~(d > (kth + 2.0 * e)[:, None])
-        if lone.size:
+        if lone.size:   # so that a block of all-NaN queries shortlists nothing
             cand[lone] &= has_co
         r, c = np.divmod(np.flatnonzero(cand), n_train)
         co = t_obs[c] & q_obs[r]
