@@ -287,7 +287,8 @@ class TestPreprocessor:
         with pytest.raises(ValueError, match="std_floor must be a finite number >= 0"):
             Preprocessor(std_floor=std_floor)
 
-    @pytest.mark.parametrize("k, std_floor", [(1, 0.0), (np.int64(7), 0), (12, np.float32(1e-6))])
+    @pytest.mark.parametrize("k, std_floor",
+                             [(1, 0.0), (np.int64(7), 0), (12, np.float32(1e-6))])
     def test_constructor_accepts_usable_values(self, k, std_floor):
         pre = Preprocessor(k=k, std_floor=std_floor)
         assert (pre.k, pre.std_floor) == (k, std_floor)
