@@ -230,35 +230,56 @@ def train_val_split(subjects: list[str], val_frac: float = 0.2,
 _BLOCK = 64
 
 
-def _nearest(Q: np.ndarray, T0: np.ndarray, t_obs: np.ndarray, R: np.ndarray,
-             t_sq_max: float, k: int) -> np.ndarray:
+def _train_operands(T: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(t_obs, R, t_sq_max) of `_nearest` for the standardized train matrix T.
+
+    Built by the first transform that imputes and kept until the next fit,
+    not once per transform: rebuilding the 2 MB R (at 2,048 train rows) and
+    its intermediates on every call grew and trimmed the heap each time,
+    about 1,500 page faults per score-missing transform in some processes
+    and none in others.
+    """
+    t_obs = ~np.isnan(T)
+    T0 = np.where(t_obs, T, 0.0)
+    with np.errstate(over="ignore"):
+        T0_sq = T0 * T0
+        t_sq_max = T0_sq.sum(axis=1).max()
+        R = np.hstack([T0_sq, t_obs, T0])
+    return t_obs, R, t_sq_max
+
+
+def _nearest(Q: np.ndarray, t_obs: np.ndarray, R: np.ndarray, t_sq_max: float,
+             k: int) -> np.ndarray:
     """The k nearest train rows of each query row, as (len(Q), k) indices.
 
-    T0 is the standardized train matrix with NaN set to 0, t_obs its
-    observed mask, R stacks T0 * T0, t_obs and -2 T0 side by side, and
-    t_sq_max is the largest squared norm of a row of T0. The distance is
-    the squared Euclidean distance over co-observed features, rows with no
-    co-observed feature are not neighbours, ties go to the lower train
-    index, and a row with fewer than k neighbours is padded with -1. The
-    neighbours are exactly those of a stable sort of every train row by
-    `((T0 - q0) * co) ** 2` summed with einsum: one GEMM expansion
-    shortlists the candidates, and that arithmetic orders them.
+    t_obs is the observed mask of the standardized train matrix, R stacks
+    T0 * T0, t_obs and T0 side by side, where T0 is that matrix with NaN
+    set to 0, and t_sq_max is the largest squared norm of a row of T0 (see
+    `_train_operands`). The distance is the squared Euclidean distance
+    over co-observed features, rows with no co-observed feature are not
+    neighbours, ties go to the lower train index, and a row with fewer
+    than k neighbours is padded with -1. The neighbours are exactly those
+    of a stable sort of every train row by `((T0 - q0) * co) ** 2` summed
+    with einsum: one GEMM expansion shortlists the candidates, and that
+    arithmetic orders them.
 
     Rounding, u = eps/2, for a query q and a train row t with s = |t|^2 +
-    |q|^2. The GEMM's nonzero terms are t^2, q^2 and -2tq over co-observed
-    features, each rounded once, with absolute values summing to at most
-    2s, so the expansion is within 3n u * 2s of the exact distance, to
-    first order, in any summation order. The einsum value is within
+    |q|^2. The GEMM's nonzero terms are t^2, q^2 and -2q * t over
+    co-observed features (the factor -2 is exact), each rounded once,
+    with absolute values summing to at most 2s, so the expansion is within
+    3n u * 2s of the exact distance, to first order, in any summation
+    order. The einsum value is within
     (n + 2)u * 2s, as (t - q)^2 <= 2(t^2 + q^2). So the two differ by at
     most e = (4n + 3) eps * s, the extra eps * s covering second-order
     terms and the rounding of the threshold below, plus `tiny` for the 4n
     products that may underflow. e grows with s, which t_sq_max bounds for
     every train row; it stays small, as a fitted standardized train value
     is at most sqrt(n_train - 1) in magnitude (Samuelson's inequality).
-    Every intermediate value is at most 2s in magnitude, so where 2s could
-    overflow, e is inf and every row is a candidate.
+    Every product and partial sum is at most 2s in magnitude, so where 2s
+    could overflow, e is inf and every row is a candidate.
     """
-    n_train, n = T0.shape
+    n_train, n = t_obs.shape
+    T0 = R[:, 2 * n:]
     q_obs = ~np.isnan(Q)
     Q0 = np.where(q_obs, Q, 0.0)
     m = min(k, n_train)
@@ -268,7 +289,7 @@ def _nearest(Q: np.ndarray, T0: np.ndarray, t_obs: np.ndarray, R: np.ndarray,
         Q0_sq = Q0 * Q0
         # sum over co-observed features of t^2 + q^2 - 2tq; every term of a
         # row sharing no observed feature with the query is exactly 0
-        d = np.hstack([q_obs, Q0_sq, Q0]) @ R.T
+        d = np.hstack([q_obs, Q0_sq, -2.0 * Q0]) @ R.T
         part = np.partition(d, m - 1, axis=1)
         kth = part[:, m - 1]
         # A row with no co-observed feature lowers kth only from among the
@@ -347,6 +368,7 @@ class Preprocessor:
         self.mean_: np.ndarray | None = None
         self.std_: np.ndarray | None = None
         self.train_std_: np.ndarray | None = None
+        self._knn: tuple | None = None     # `_train_operands` of train_std_
 
     def fit(self, X: np.ndarray) -> "Preprocessor":
         X = np.asarray(X, dtype=np.float64)
@@ -364,6 +386,7 @@ class Preprocessor:
             self.std_ = np.nanstd(X, axis=0)
         self.std_ = np.where(self.std_ > self.std_floor, self.std_, 1.0)
         self.train_std_ = (X - self.mean_) / self.std_
+        self._knn = None
         return self
 
     def _check_fitted(self):
@@ -379,18 +402,12 @@ class Preprocessor:
         nan_rows = np.where(np.isnan(Z).any(axis=1))[0]
         if nan_rows.size == 0:
             return Z
-        T = self.train_std_
-        t_obs = ~np.isnan(T)
-        T0 = np.where(t_obs, T, 0.0)
-        with np.errstate(over="ignore"):
-            T0_sq = T0 * T0
-            R = np.hstack([T0_sq, t_obs, -2.0 * T0])
-            t_sq_max = T0_sq.sum(axis=1).max()
-        nb = np.concatenate([_nearest(Z[nan_rows[s:s + _BLOCK]], T0, t_obs, R,
-                                      t_sq_max, self.k)
+        if self._knn is None:
+            self._knn = _train_operands(self.train_std_)
+        nb = np.concatenate([_nearest(Z[nan_rows[s:s + _BLOCK]], *self._knn, self.k)
                              for s in range(0, nan_rows.size, _BLOCK)])
         r, j = np.nonzero(np.isnan(Z[nan_rows]))
-        Z[nan_rows[r], j] = _neighbour_means(T, nb[r], j)
+        Z[nan_rows[r], j] = _neighbour_means(self.train_std_, nb[r], j)
         return Z
 
     def save(self, path) -> None:

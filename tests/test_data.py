@@ -210,6 +210,19 @@ class TestPreprocessor:
         assert np.array_equal(a.std_, b.std_)
         assert np.array_equal(a.train_std_, b.train_std_, equal_nan=True)
 
+    def test_transform_after_refit_uses_the_new_train_rows(self):
+        # the first transform keeps the train side of the distance GEMM;
+        # a second fit must not impute from the first fit's rows
+        rng = np.random.default_rng(3)
+        X1, X2 = (rng.standard_normal((30, schema.N_FEATURES)) + shift
+                  for shift in (0.0, 4.0))
+        Q = rng.standard_normal((6, schema.N_FEATURES))
+        Q[:, 2] = np.nan
+        pre = Preprocessor(k=3).fit(X1)
+        pre.transform(Q)
+        got = pre.fit(X2).transform(Q)
+        assert got.tobytes() == Preprocessor(k=3).fit(X2).transform(Q).tobytes()
+
     def test_never_observed_column_rejected(self):
         X = np.zeros((4, schema.N_FEATURES))
         X[:, 7] = np.nan

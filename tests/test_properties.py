@@ -218,7 +218,7 @@ def expanded_distances(pre: Preprocessor, Q: np.ndarray) -> np.ndarray:
     T0 = np.where(t_obs, T, 0.0)
     q_obs = ~np.isnan(Q)
     Q0 = np.where(q_obs, Q, 0.0)
-    return np.hstack([q_obs, Q0 * Q0, Q0]) @ np.hstack([T0 * T0, t_obs, -2.0 * T0]).T
+    return np.hstack([q_obs, Q0 * Q0, -2.0 * Q0]) @ np.hstack([T0 * T0, t_obs, T0]).T
 
 
 def test_knn_rows_without_a_co_observed_feature_fill_the_smallest_slots():
