@@ -160,17 +160,33 @@ def transition_rows(n_rows: int, B: int) -> tuple[slice, slice]:
     return slice(0, n_rows - B), slice(B, n_rows)
 
 
+def _row_hashes(bits: np.ndarray) -> np.ndarray:
+    """A uint64 hash of each row of a (n, f) uint64 array: the xor-shifted
+    entries dotted with odd column constants, wrapping mod 2**64.
+    Equal rows hash equal; unequal rows may collide."""
+    mult = (np.arange(1, 2 * bits.shape[1], 2, dtype=np.uint64)
+            * np.uint64(0x9E3779B97F4A7C15))
+    mixed = bits >> np.uint64(29)
+    mixed ^= bits
+    return mixed @ mult
+
+
 def window_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Windows (B, w, 44) as the visit matrix and row indices that
     `NkmModel.latents` takes: each distinct visit row once, and window b's
     indices into those rows in visit order.
 
     Rows count as the same when their bytes are equal (so 0.0 and -0.0
-    differ, and a NaN row is kept for the encoder to refuse). One
-    `np.unique` over a byte view of the rows finds them; the distinct rows
-    come out in the order of their bytes. Overlapping sliding windows share
-    most visits: a 1000-window batch over w = 3 holds 3,000 visit rows, of
-    which often only a few hundred are distinct.
+    differ, and a NaN row is kept for the encoder to refuse). The distinct
+    rows come out in the order of their bytes. Overlapping sliding windows
+    share most visits: a 1000-window batch over w = 3 holds 3,000 visit
+    rows, of which often only a few hundred are distinct.
+
+    `np.unique` over a uint64 hash of each row groups the rows, every row
+    is checked byte for byte against its group's first row, and only the
+    distinct rows are sorted by their bytes. If two unequal rows share a
+    hash, one `np.unique` over the rows' bytes does the whole job instead;
+    both paths return the same arrays.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 3:
@@ -178,8 +194,16 @@ def window_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                          f"got {X.shape}")
     B, w, f = X.shape
     flat = np.ascontiguousarray(X).reshape(B * w, f)
-    keys = flat.view(np.dtype((np.void, flat.itemsize * f))).ravel()
-    distinct, inverse = np.unique(keys, return_inverse=True)
+    bits = flat.view(np.uint64)
+    _, first, group = np.unique(_row_hashes(bits), return_index=True,
+                                return_inverse=True)
+    key = np.dtype((np.void, flat.itemsize * f))
+    if np.array_equal(bits, bits[first][group]):
+        order = np.argsort(flat[first].view(key).ravel())
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        return flat[first[order]], rank[group].reshape(B, w)
+    distinct, inverse = np.unique(flat.view(key).ravel(), return_inverse=True)
     return distinct.view(np.float64).reshape(-1, f), inverse.reshape(B, w)
 
 

@@ -6,17 +6,34 @@ measurement noise (or the raw state in "identity" mode); targets are a
 linear readout of z. The sidecar records every planted quantity so tests
 can recover them independently.
 
-Draw order is fixed (globals, then subjects, then visit noise, then the
-missingness mask) so equal (cfg, seed) pairs produce identical tables.
+Draw order is fixed so equal (cfg, seed) pairs produce identical tables:
+the globals, then the per-subject values, then one (rows, columns) block
+of visit noise, then the missingness mask. Rows of the noise block are
+visits, subject by subject; its columns are the informative columns, the
+noise columns and the targets (targets only in "identity" mode). Filled
+in row-major order, the block holds the same numbers that one scalar draw
+per visit and column gave, in the same places.
+
+Each informative column is `np.vecdot(w, Z)` over all visit rows and the
+targets are `np.matmul(C, Z[:, :, None])`: these forms round exactly as
+the per-visit dot products `w @ z` and `C @ z` do, where `Z @ w`,
+`Z @ C.T`, `einsum` and `np.inner` can differ in the last bit. So a
+cohort's table is the same byte for byte as that of a per-visit loop.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import schema
 from .data import VisitTable
+
+
+def _finite(v) -> bool:
+    return isinstance(v, numbers.Real) and math.isfinite(v)
 
 
 @dataclass
@@ -38,6 +55,17 @@ class SyntheticConfig:
             raise ValueError("n_subjects and visits_per_subject must be >= 1")
         if self.latent_dim < 1 or self.latent_dim > schema.N_FEATURES:
             raise ValueError(f"latent_dim must be in [1, {schema.N_FEATURES}]")
+        # a negative sd flips the noise's sign and still writes a cohort; a
+        # non-finite or non-numeric value fills the table with NaN or dies
+        # inside numpy
+        for name in ("noise_sd", "drift_sd", "target_noise_sd"):
+            v = getattr(self, name)
+            if name == "target_noise_sd" and v is None:
+                continue
+            if not (_finite(v) and v >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0")
+        if not _finite(self.base_drift_scale):
+            raise ValueError("base_drift_scale must be a finite number")
         if not (0.0 <= self.missing_rate < 1.0):
             raise ValueError("missing_rate must be in [0, 1)")
         if self.observation not in ("tanh", "identity"):
@@ -113,34 +141,33 @@ def generate_synthetic(cfg: SyntheticConfig, seed: int = 0
         Z[:, t] = Z[:, t - 1] @ A.T + drift
 
     n_rows = cfg.n_subjects * n_vis
+    rows = np.arange(n_rows)
+    subj = rows // n_vis                    # visit rows, subject by subject
+    visits = rows % n_vis
+    subject_ids = [sid for sid in sids for _ in range(n_vis)]
+    Z = Z.reshape(n_rows, d)
     X = np.zeros((n_rows, schema.N_FEATURES))
-    Y = np.zeros((n_rows, schema.N_TARGETS))
-    subject_ids: list[str] = []
-    visits = np.zeros(n_rows, dtype=np.int64)
 
-    row = 0
-    for i, sid in enumerate(sids):
-        for t in range(n_vis):
-            subject_ids.append(sid)
-            visits[row] = t
-            z = Z[i, t]
-            if cfg.observation == "identity":
-                X[row, :d] = z
-            else:
-                X[row, col["APOE4"]] = float(apoe4[i])
-                for c in informative:
-                    clean = obs_offset[c] + obs_scale[c] * np.tanh(obs_w[c] @ z + obs_b[c])
-                    X[row, col[c]] = clean + cfg.noise_sd * rng.standard_normal()
-                for c in noise_cols:
-                    X[row, col[c]] = obs_offset[c] + rng.standard_normal()
-                X[row, col["DEMO_AGE"]] = age0[i] + 0.5 * t
-                X[row, col["DEMO_EDUCATION"]] = edu[i]
-                X[row, col["DEMO_SEX_F"] + sex[i]] = 1.0
-                X[row, col["DEMO_MARRY_MARRIED"] + marry[i]] = 1.0
-                X[row, col["DEMO_RACE_WHITE"] + race[i]] = 1.0
-                X[row, col["DEMO_SITE01"] + site[i]] = 1.0
-            Y[row] = C @ z + tnoise * rng.standard_normal(schema.N_TARGETS)
-            row += 1
+    if cfg.observation == "identity":
+        E = rng.standard_normal((n_rows, schema.N_TARGETS))
+        X[:, :d] = Z
+    else:
+        E = rng.standard_normal(
+            (n_rows, len(informative) + len(noise_cols) + schema.N_TARGETS))
+        X[:, col["APOE4"]] = apoe4[subj]
+        for k, c in enumerate(informative):
+            clean = obs_offset[c] + obs_scale[c] * np.tanh(
+                np.vecdot(obs_w[c], Z) + obs_b[c])
+            X[:, col[c]] = clean + cfg.noise_sd * E[:, k]
+        for k, c in enumerate(noise_cols, start=len(informative)):
+            X[:, col[c]] = obs_offset[c] + E[:, k]
+        X[:, col["DEMO_AGE"]] = age0[subj] + 0.5 * visits
+        X[:, col["DEMO_EDUCATION"]] = edu[subj]
+        X[rows, col["DEMO_SEX_F"] + sex[subj]] = 1.0
+        X[rows, col["DEMO_MARRY_MARRIED"] + marry[subj]] = 1.0
+        X[rows, col["DEMO_RACE_WHITE"] + race[subj]] = 1.0
+        X[rows, col["DEMO_SITE01"] + site[subj]] = 1.0
+    Y = np.matmul(C, Z[:, :, None])[:, :, 0] + tnoise * E[:, -schema.N_TARGETS:]
 
     if cfg.missing_rate > 0.0:
         mask_cols = [col[c] for c in schema.MASKABLE_COLUMNS]

@@ -75,6 +75,17 @@ class TestExitCodes:
         assert rc == 1
         assert f"nkm: {key.split('.')[1]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("data.noise_sd", "-1"), ("data.noise_sd", "nan"),
+        ("data.drift_sd", "-0.1"), ("data.target_noise_sd", "inf"),
+        ("data.base_drift_scale", "nan")])
+    def test_synthetic_values_that_cannot_work(self, tmp_path, capsys, key, value):
+        # noise_sd=-1 wrote a cohort; nan and inf died with numpy tracebacks
+        rc, out = run(tmp_path, "o", "synth", "--set", f"{key}={value}")
+        assert rc == 1
+        assert f"nkm: {key.split('.')[1]}" in capsys.readouterr().err
+        assert not (out / "cohort.csv").exists()
+
     def test_missing_input_data_file(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "o", "train",
                     "--set", f"data.path={tmp_path / 'nope.csv'}")

@@ -8,8 +8,10 @@ import pytest
 
 from nkm import schema
 from nkm.data import Windows
+from nkm import model as nkm_model
 from nkm.model import (ABLATION_SETUPS, AblationFlags, ArchConfig, NkmModel,
-                       full_arch, init_koopman, load_checkpoint, save_checkpoint)
+                       full_arch, init_koopman, load_checkpoint, save_checkpoint,
+                       window_rows)
 from nkm.tensor import Tensor
 from nkm.training import evaluate
 
@@ -447,6 +449,54 @@ class TestForward:
         assert arch.group_hidden["mri"] == (180, 120)
         m = NkmModel(arch, seed=0)
         assert m.params["koopman.K"].data.shape == (360, 360)
+
+
+def exact_window_rows(X):
+    """One `np.unique` over the rows' bytes: distinct rows in byte order."""
+    flat = np.ascontiguousarray(X).reshape(-1, X.shape[2])
+    keys = flat.view(np.dtype((np.void, flat.itemsize * X.shape[2]))).ravel()
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return (distinct.view(np.float64).reshape(-1, X.shape[2]),
+            inverse.reshape(X.shape[:2]))
+
+
+def sliding_windows(n_visits=12, w=3, seed=0):
+    """Overlapping windows over one run of visits, with a -0.0 visit, a
+    +0.0 twin of it and a NaN visit among them."""
+    V = rand_windows(n=n_visits, w=1, seed=seed)[:, 0]
+    V[3] = -0.0
+    V[7] = 0.0
+    V[9, 5] = np.nan
+    return np.stack([V[i:i + w] for i in range(n_visits - w + 1)])
+
+
+class TestWindowRows:
+    def assert_same(self, got, want):
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[0].shape == want[0].shape
+        assert np.array_equal(got[1], want[1])
+
+    def test_matches_one_unique_over_bytes(self):
+        X = sliding_windows()
+        visits, rows = window_rows(X)
+        self.assert_same((visits, rows), exact_window_rows(X))
+        assert len(visits) == 12
+        assert np.array_equal(visits[rows], X, equal_nan=True)
+
+    def test_hash_collision_takes_exact_path(self, monkeypatch):
+        X = sliding_windows(seed=4)
+        monkeypatch.setattr(nkm_model, "_row_hashes",
+                            lambda bits: np.zeros(len(bits), dtype=np.uint64))
+        self.assert_same(window_rows(X), exact_window_rows(X))
+
+    def test_signed_zero_rows_stay_distinct(self):
+        X = np.zeros((2, 2, schema.N_FEATURES))
+        X[1] = -0.0
+        visits, rows = window_rows(X)
+        assert len(visits) == 2
+        assert rows[0, 0] == rows[0, 1] != rows[1, 0] == rows[1, 1]
+        assert np.signbit(visits[rows[1, 0]]).all()
+        assert not np.signbit(visits[rows[0, 0]]).any()
 
 
 class TestCheckpoint:

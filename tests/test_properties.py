@@ -3,6 +3,9 @@ KNN imputation, CSV round trip, window counts, fold disjointness."""
 from __future__ import annotations
 
 import functools
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -376,3 +379,31 @@ def test_folds_are_disjoint_and_cover_every_subject(k, extra, fold, val_frac, se
     parts = (fd.train_subjects, fd.val_subjects, fd.test_subjects)
     assert all(parts)
     assert sorted(s for p in parts for s in p) == sorted(subjects)
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 10
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_property_is_reported_under_project_settings(tmp_path):
+    # with every DeprecationWarning an error, the warning libcst raises while
+    # hypothesis prepares its report became an INTERNALERROR: no falsifying
+    # example, and no later test ran
+    (tmp_path / "test_prop.py").write_text(FAILING_PROPERTY)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "-p", "no:cacheprovider",
+         "-q", "test_prop.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    out = done.stdout + done.stderr
+    assert "INTERNALERROR" not in out
+    assert "Falsifying example" in out
+    assert "1 failed, 1 passed" in out
