@@ -188,6 +188,8 @@ def verify_descent(model: NkmModel, windows: Windows,
     if the composite loss does not increase; on violation the step is halved
     and retried (when backtracking is on). The huge-step no-backtracking
     variant is the negative control and is expected to fail."""
+    if not len(windows):
+        raise ValueError("verify_descent needs at least one window")
     loss_cfg = loss_cfg if loss_cfg is not None else LossConfig()
     X, y = windows.X, windows.y
 

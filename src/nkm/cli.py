@@ -232,15 +232,19 @@ def _cmd_eval(cfg: dict, out_dir: Path) -> None:
           f"mean r={metrics.mean_pearson:.4f}")
 
 
-def _cmd_cv(cfg: dict, out_dir: Path) -> None:
-    table, _ = _load_table(cfg)
-    name = cfg["model.ablation"]
-    res = run_cv(table, ablation=AblationFlags.from_name(name),
-                 setup_name=name, **_cv_kwargs(cfg))
+def _write_cv(res: CvResult, out_dir: Path) -> None:
+    """metrics.csv, the summary report.json and the printed row of one setup."""
     _write_metrics_csv(out_dir / "metrics.csv", res.rows())
     summary = _cv_summary(res)
     _write_report(out_dir, summary)
     _print_table_row(summary)
+
+
+def _cmd_cv(cfg: dict, out_dir: Path) -> None:
+    table, _ = _load_table(cfg)
+    name = cfg["model.ablation"]
+    _write_cv(run_cv(table, ablation=AblationFlags.from_name(name),
+                     setup_name=name, **_cv_kwargs(cfg)), out_dir)
 
 
 def _cmd_ablate(cfg: dict, out_dir: Path) -> None:
@@ -265,13 +269,9 @@ def _cmd_ablate(cfg: dict, out_dir: Path) -> None:
 
 def _cmd_edmd(cfg: dict, out_dir: Path) -> None:
     table, _ = _load_table(cfg)
-    res = run_edmd_cv(table, edmd_from_config(cfg), k=cfg["cv.k"],
-                      seed=cfg["seed"], w=cfg["data.window"],
-                      val_frac=cfg["train.val_frac"])
-    _write_metrics_csv(out_dir / "metrics.csv", res.rows())
-    summary = _cv_summary(res)
-    _write_report(out_dir, summary)
-    _print_table_row(summary)
+    _write_cv(run_edmd_cv(table, edmd_from_config(cfg), k=cfg["cv.k"],
+                          seed=cfg["seed"], w=cfg["data.window"],
+                          val_frac=cfg["train.val_frac"]), out_dir)
 
 
 def _cmd_verify_bound(cfg: dict, out_dir: Path) -> None:
@@ -284,13 +284,11 @@ def _cmd_verify_bound(cfg: dict, out_dir: Path) -> None:
         report = verify_bound(model, table, tau_max=tau_max)
         meta = {"source": "edmd"}
     elif cfg["bound.source"] == "nkm":
-        held_out = _held_out_subjects(cfg, table)
-        fold, result = _fit_nkm(cfg, table, held_out)
-        test_table = table.subset_subjects(fold.test_subjects)
-        test_table = test_table.with_features(
-            fold.preprocessor.transform(test_table.X))
-        report = verify_bound(result.model, test_table, tau_max=tau_max)
-        meta = {"source": "nkm", "held_out_subjects": len(held_out)}
+        fold, result = _fit_nkm(cfg, table, _held_out_subjects(cfg, table))
+        report = verify_bound(result.model,
+                              fold.table.subset_subjects(fold.test_subjects),
+                              tau_max=tau_max)
+        meta = {"source": "nkm", "held_out_subjects": len(fold.test_subjects)}
     else:
         raise ValueError("bound.source must be 'nkm' or 'edmd'")
     _write_report(out_dir, {**meta, **report.to_dict()})
@@ -307,7 +305,7 @@ def _cmd_verify_descent(cfg: dict, out_dir: Path) -> None:
     pre = Preprocessor().fit(table.X)
     prepped = table.with_features(pre.transform(table.X))
     windows = build_windows(prepped, w=cfg["data.window"])
-    n = min(cfg["descent.n_windows"], len(windows))
+    n = max(0, min(cfg["descent.n_windows"], len(windows)))
     batch = Windows(windows.X[:n], windows.y[:n], windows.subjects[:n],
                     windows.starts[:n])
     arch = arch_from_config(cfg)

@@ -5,7 +5,8 @@ preset, config-file values, --set overrides, and the explicit --seed/--out
 flags. Later sources win. Values in files and --set are parsed as JSON when
 possible, else kept as strings. Unknown keys are rejected so typos cannot
 silently fall back to defaults, and each command's table holds only keys
-that the command reads.
+that the command reads. A value must have the JSON type of its key's
+default, unless that default is None (see `_fits_default_type`).
 """
 from __future__ import annotations
 
@@ -148,19 +149,36 @@ def load_config_file(path: str | Path) -> dict:
     return loaded
 
 
+def _fits_default_type(value, default) -> bool:
+    """Whether value has the JSON type of a key's default. A bool is not an
+    int, a float key also takes an int, and a None default takes anything."""
+    if default is None:
+        return True
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 def build_config(command: str, preset: str | None = None,
                  file_values: dict | None = None,
                  overrides: list[tuple[str, object]] | None = None,
                  seed: int | None = None, out: str | None = None) -> dict:
     if command not in COMMAND_DEFAULTS:
         raise ConfigError(f"unknown command {command!r}")
-    cfg = dict(COMMAND_DEFAULTS[command])
+    defaults = COMMAND_DEFAULTS[command]
+    cfg = dict(defaults)
 
     def apply(source: str, values: dict):
         for k, v in values.items():
             if k not in cfg:
                 raise ConfigError(f"unknown config key {k!r} (from {source}) "
                                   f"for command {command!r}")
+            if not _fits_default_type(v, defaults[k]):
+                raise ConfigError(
+                    f"config key {k!r} (from {source}) must be of type "
+                    f"{type(defaults[k]).__name__}, got {v!r}")
             cfg[k] = v
 
     if preset is not None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -213,6 +213,9 @@ def subject_kfold(subjects: list[str], k: int = 5, seed: int = 0) -> list[list[s
 def train_val_split(subjects: list[str], val_frac: float = 0.2,
                     seed: int = 0) -> tuple[list[str], list[str]]:
     """Subject-level split; both sides non-empty."""
+    if (isinstance(val_frac, bool) or not isinstance(val_frac, numbers.Real)
+            or not 0.0 < val_frac < 1.0):
+        raise ValueError(f"val_frac must be a number in (0, 1), got {val_frac!r}")
     if len(subjects) < 2:
         raise ValueError("need at least 2 subjects to split")
     order = list(subjects)
@@ -444,32 +447,31 @@ class Preprocessor:
 
 @dataclass
 class FoldData:
-    """Materialized train/val/test windows for one fold, preprocessed."""
+    """One fold's train/val/test windows, cut from its imputed `table`."""
     train: Windows
     val: Windows
     test: Windows
     preprocessor: Preprocessor
-    train_subjects: list[str] = field(default_factory=list)
-    val_subjects: list[str] = field(default_factory=list)
-    test_subjects: list[str] = field(default_factory=list)
+    table: VisitTable      # every row, imputed by the train-fitted preprocessor
+    train_subjects: list[str]
+    val_subjects: list[str]
+    test_subjects: list[str]
 
 
 def materialize_fold(table: VisitTable, test_subjects: list[str], seed: int = 0,
                      w: int = 3, val_frac: float = 0.2) -> FoldData:
     """Fit preprocessing (the default k = 5 of `Preprocessor`) on the train
-    split only, then window all three splits."""
+    split only, impute the whole table once, and window each split of it: a
+    row's imputation reads only that row and the train rows."""
     test_set = set(test_subjects)
     pool = [s for s in table.unique_subjects() if s not in test_set]
     if not pool:
         raise ValueError("no training subjects left outside the test fold")
     tr_subjects, val_subjects = train_val_split(pool, val_frac=val_frac, seed=seed)
 
-    tr_tab = table.subset_subjects(tr_subjects)
-    va_tab = table.subset_subjects(val_subjects)
-    te_tab = table.subset_subjects(test_subjects)
-
-    pre = Preprocessor().fit(tr_tab.X)
-    tr = build_windows(tr_tab.with_features(pre.transform(tr_tab.X)), w=w)
-    va = build_windows(va_tab.with_features(pre.transform(va_tab.X)), w=w)
-    te = build_windows(te_tab.with_features(pre.transform(te_tab.X)), w=w)
-    return FoldData(tr, va, te, pre, tr_subjects, val_subjects, list(test_subjects))
+    pre = Preprocessor().fit(table.subset_subjects(tr_subjects).X)
+    imputed = table.with_features(pre.transform(table.X))
+    tr, va, te = (build_windows(imputed.subset_subjects(s), w=w)
+                  for s in (tr_subjects, val_subjects, test_subjects))
+    return FoldData(tr, va, te, pre, imputed, tr_subjects, val_subjects,
+                    list(test_subjects))

@@ -36,6 +36,10 @@ def _finite(v) -> bool:
     return isinstance(v, numbers.Real) and math.isfinite(v)
 
 
+def _integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass
 class SyntheticConfig:
     n_subjects: int = 200
@@ -51,6 +55,12 @@ class SyntheticConfig:
     observed_rank: int | None = None   # None: every latent dim is observed
 
     def __post_init__(self):
+        # a float count dies inside numpy, a string on the first comparison
+        for name in ("n_subjects", "visits_per_subject", "latent_dim",
+                     "n_noise_mri", "observed_rank"):
+            v = getattr(self, name)
+            if not (_integer(v) or (name == "observed_rank" and v is None)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.n_subjects < 1 or self.visits_per_subject < 1:
             raise ValueError("n_subjects and visits_per_subject must be >= 1")
         if self.latent_dim < 1 or self.latent_dim > schema.N_FEATURES:
@@ -66,8 +76,8 @@ class SyntheticConfig:
                 raise ValueError(f"{name} must be a finite number >= 0")
         if not _finite(self.base_drift_scale):
             raise ValueError("base_drift_scale must be a finite number")
-        if not (0.0 <= self.missing_rate < 1.0):
-            raise ValueError("missing_rate must be in [0, 1)")
+        if not (_finite(self.missing_rate) and 0.0 <= self.missing_rate < 1.0):
+            raise ValueError("missing_rate must be a number in [0, 1)")
         if self.observation not in ("tanh", "identity"):
             raise ValueError("observation must be 'tanh' or 'identity'")
         if not (0 <= self.n_noise_mri <= len(schema.GROUP_COLUMNS["mri"])):

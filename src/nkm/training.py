@@ -18,7 +18,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import schema
 from .data import FoldData, VisitTable, Windows, materialize_fold, subject_kfold
+from .edmd import EdmdConfig, EdmdModel
 from .linalg import pinv, spectral_norm_differentiable
 from .model import (ABLATION_SETUPS, AblationFlags, ArchConfig, NkmModel,
                     transition_rows, window_rows)
@@ -315,7 +317,6 @@ def evaluate_predictions(y_true: np.ndarray, y_pred: np.ndarray,
 
 
 def evaluate(model: NkmModel, windows: Windows) -> EvalMetrics:
-    from . import schema
     if not len(windows):
         raise ValueError(f"no windows to evaluate: a window needs "
                          f"{model.arch.window} visits and a next one")
@@ -351,6 +352,16 @@ class CvResult:
         return out
 
 
+def _run_folds(setup: str, table: VisitTable, k: int, seed: int, w: int,
+               val_frac: float, score) -> CvResult:
+    """The fold protocol every model is scored under: k subject folds, fold
+    f materialized with seed + f and scored by `score(f, fold)`."""
+    folds = subject_kfold(table.unique_subjects(), k=k, seed=seed)
+    return CvResult(setup, [score(f, materialize_fold(table, test, seed=seed + f,
+                                                      w=w, val_frac=val_frac))
+                            for f, test in enumerate(folds)])
+
+
 def run_cv(table: VisitTable, arch: ArchConfig | None = None,
            optim_cfg: OptimConfig | None = None, loss_cfg: LossConfig | None = None,
            k: int = 5, seed: int = 0, mode: str = "joint",
@@ -358,39 +369,29 @@ def run_cv(table: VisitTable, arch: ArchConfig | None = None,
            w: int = 3, val_frac: float = 0.2) -> CvResult:
     """Subject-stratified k-fold train/evaluate; fully seeded."""
     arch = arch if arch is not None else ArchConfig()
-    folds = subject_kfold(table.unique_subjects(), k=k, seed=seed)
-    outcomes: list[FoldOutcome] = []
-    for f, test_subjects in enumerate(folds):
-        fd: FoldData = materialize_fold(table, test_subjects, seed=seed + f,
-                                        w=w, val_frac=val_frac)
+
+    def score(f: int, fd: FoldData) -> FoldOutcome:
         model = NkmModel(arch, seed=seed + f, ablation=ablation)
         res = train(model, fd.train, fd.val, optim_cfg, loss_cfg,
                     mode=mode, seed=seed + f)
-        outcomes.append(FoldOutcome(f, evaluate(res.model, fd.test), res))
-    return CvResult(setup_name, outcomes)
+        return FoldOutcome(f, evaluate(res.model, fd.test), res)
+
+    return _run_folds(setup_name, table, k, seed, w, val_frac, score)
 
 
-def run_edmd_cv(table: VisitTable, edmd_cfg=None, k: int = 5, seed: int = 0,
-                w: int = 3, val_frac: float = 0.2) -> CvResult:
-    """EDMD baseline under the same fold protocol: fit on the preprocessed
-    train+val visit table, score the held-out test windows."""
-    from . import schema
-    from .edmd import EdmdConfig, EdmdModel
+def run_edmd_cv(table: VisitTable, edmd_cfg: EdmdConfig | None = None, k: int = 5,
+                seed: int = 0, w: int = 3, val_frac: float = 0.2) -> CvResult:
+    """EDMD baseline under the same fold protocol: fit on the train+val rows
+    of the fold's imputed table, score the held-out test windows."""
     edmd_cfg = edmd_cfg if edmd_cfg is not None else EdmdConfig()
-    folds = subject_kfold(table.unique_subjects(), k=k, seed=seed)
-    outcomes: list[FoldOutcome] = []
-    for f, test_subjects in enumerate(folds):
-        fd = materialize_fold(table, test_subjects, seed=seed + f, w=w,
-                              val_frac=val_frac)
-        fit_table = table.subset_subjects(fd.train_subjects + fd.val_subjects)
-        fit_table = fit_table.with_features(
-            fd.preprocessor.transform(fit_table.X))
-        model = EdmdModel(edmd_cfg).fit(fit_table)
-        metrics = evaluate_predictions(fd.test.y,
-                                       model.predict_windows(fd.test),
-                                       schema.TARGET_COLUMNS)
-        outcomes.append(FoldOutcome(f, metrics))
-    return CvResult("edmd_rbf", outcomes)
+
+    def score(f: int, fd: FoldData) -> FoldOutcome:
+        model = EdmdModel(edmd_cfg).fit(
+            fd.table.subset_subjects(fd.train_subjects + fd.val_subjects))
+        return FoldOutcome(f, evaluate_predictions(
+            fd.test.y, model.predict_windows(fd.test), schema.TARGET_COLUMNS))
+
+    return _run_folds("edmd_rbf", table, k, seed, w, val_frac, score)
 
 
 def run_ablation(table: VisitTable, setups: list[str] | None = None,

@@ -10,7 +10,7 @@ from nkm.analysis import (BoundReport, _bound_runs, _bound_states, bound_limit,
                           export_latents, feature_importance, fit_pca,
                           geometric_bound, measure_eps, rollout_latents,
                           verify_bound, verify_descent, write_latents_csv)
-from nkm.data import VisitTable, build_windows, materialize_fold
+from nkm.data import VisitTable, Windows, build_windows, materialize_fold
 from nkm.edmd import EdmdConfig, EdmdModel
 from nkm.model import AblationFlags, ArchConfig, NkmModel, full_arch
 from nkm.optim import OptimConfig
@@ -110,9 +110,7 @@ class TestVerifyBound:
         fold = materialize_fold(table, table.unique_subjects()[:2], seed=0)
         model = NkmModel(tiny_arch(), seed=1)
         model.project_spectral(0.95)
-        test_table = table.subset_subjects(fold.test_subjects)
-        test_table = test_table.with_features(
-            fold.preprocessor.transform(test_table.X))
+        test_table = fold.table.subset_subjects(fold.test_subjects)
         report = verify_bound(model, test_table, tau_max=20)
         assert report.passed
         assert report.norm_k < 1.0
@@ -135,7 +133,7 @@ class TestVerifyBound:
         table = VisitTable([s for s, k in zip(full.subject_ids, keep) if k],
                            full.visits[keep], full.X[keep], full.Y[keep])
         fold = materialize_fold(table, table.unique_subjects()[:1], seed=0)
-        table = table.with_features(fold.preprocessor.transform(table.X))
+        table = fold.table
         model = NkmModel(arch, seed=4)
         w = arch.window
         want = []
@@ -205,9 +203,7 @@ class TestVerifyBound:
         fold = materialize_fold(table, table.unique_subjects()[:2], seed=1)
         model = NkmModel(tiny_arch(), seed=2)
         model.K.data = 1.2 * np.eye(model.arch.d_z)
-        test_table = table.subset_subjects(fold.test_subjects)
-        test_table = test_table.with_features(
-            fold.preprocessor.transform(test_table.X))
+        test_table = fold.table.subset_subjects(fold.test_subjects)
         with pytest.raises(ValueError, match="requires"):
             verify_bound(model, test_table, tau_max=5)
 
@@ -230,9 +226,7 @@ class TestVerifyBound:
         fold = materialize_fold(table, table.unique_subjects()[:2], seed=3)
         model = NkmModel(tiny_arch(), seed=3)
         model.project_spectral(0.95)
-        test_table = table.subset_subjects(fold.test_subjects)
-        test_table = test_table.with_features(
-            fold.preprocessor.transform(test_table.X))
+        test_table = fold.table.subset_subjects(fold.test_subjects)
         report = verify_bound(model, test_table, tau_max=1)
         assert report.passed and len(report.empirical) == 1
 
@@ -241,9 +235,7 @@ class TestVerifyBound:
         fold = materialize_fold(table, table.unique_subjects()[:2], seed=4)
         model = NkmModel(tiny_arch(), seed=4)
         model.project_spectral(0.95)
-        test_table = table.subset_subjects(fold.test_subjects)
-        test_table = test_table.with_features(
-            fold.preprocessor.transform(test_table.X))
+        test_table = fold.table.subset_subjects(fold.test_subjects)
         with pytest.raises(ValueError, match="tau_max"):
             verify_bound(model, test_table, tau_max=20)
 
@@ -256,9 +248,7 @@ class TestVerifyBound:
         U, _ = np.linalg.qr(rng.standard_normal((24, 24)))
         V, _ = np.linalg.qr(rng.standard_normal((24, 24)))
         model.K.data = U @ np.diag(np.linspace(0.95, 0.93, 24)) @ V.T
-        test_table = table.subset_subjects(fold.test_subjects)
-        test_table = test_table.with_features(
-            fold.preprocessor.transform(test_table.X))
+        test_table = fold.table.subset_subjects(fold.test_subjects)
         report = verify_bound(model, test_table, tau_max=1)
         assert report.norm_k == float(np.linalg.svd(model.K.data,
                                                     compute_uv=False)[0])
@@ -309,6 +299,13 @@ class TestVerifyDescent:
         model = NkmModel(tiny_arch(), seed=4)
         verify_descent(model, windows, LossConfig(rho=0.9), iters=5)
         assert np.linalg.svd(model.K.data, compute_uv=False)[0] <= 0.9 + 1e-8
+
+    def test_no_windows_rejected(self):
+        # an empty batch died with a ZeroDivisionError in composite_loss
+        windows = self.make_windows(4)
+        empty = Windows(windows.X[:0], windows.y[:0], [], windows.starts[:0])
+        with pytest.raises(ValueError, match="at least one window"):
+            verify_descent(NkmModel(tiny_arch(), seed=5), empty, iters=1)
 
 
 class TestLatentExport:

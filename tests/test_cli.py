@@ -76,15 +76,31 @@ class TestExitCodes:
         assert f"nkm: {key.split('.')[1]}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [
-        ("data.noise_sd", "-1"), ("data.noise_sd", "nan"),
+        ("data.noise_sd", "-1"), ("data.noise_sd", "NaN"),
         ("data.drift_sd", "-0.1"), ("data.target_noise_sd", "inf"),
-        ("data.base_drift_scale", "nan")])
+        ("data.base_drift_scale", "NaN"), ("data.missing_rate", "NaN"),
+        ("data.missing_rate", "1")])
     def test_synthetic_values_that_cannot_work(self, tmp_path, capsys, key, value):
-        # noise_sd=-1 wrote a cohort; nan and inf died with numpy tracebacks
+        # noise_sd=-1 wrote a cohort; nan and inf died with numpy tracebacks.
+        # The JSON NaN is a float and reaches the synthesizer; the string
+        # "nan" is refused with the config (test_numeric_keys_refuse_a_string)
         rc, out = run(tmp_path, "o", "synth", "--set", f"{key}={value}")
         assert rc == 1
         assert f"nkm: {key.split('.')[1]}" in capsys.readouterr().err
         assert not (out / "cohort.csv").exists()
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("edmd", "train.val_frac", "1.5"), ("cv", "train.val_frac", "0"),
+        ("importance", "importance.test_frac", "0"),
+        ("importance", "importance.test_frac", "1")])
+    def test_split_fractions_outside_0_1(self, tmp_path, capsys, command, key,
+                                         value):
+        # val_frac=1.5 ran with one train subject per fold, and test_frac=0
+        # held out one subject
+        rc, out = run(tmp_path, "o", command, *TINY[:4], "--set", f"{key}={value}")
+        assert rc == 1
+        assert "val_frac must be a number in (0, 1)" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_missing_input_data_file(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "o", "train",
@@ -329,6 +345,29 @@ class TestVerifyCommands:
         assert report["norm_k"] < 1.0
         capsys.readouterr()
 
+    def test_bound_nkm_source_reuses_the_fold_table(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # the fold imputes every row once; the command re-imputed the test rows
+        from nkm.data import Preprocessor
+        rows = []
+        transform = Preprocessor.transform
+        monkeypatch.setattr(Preprocessor, "transform", lambda self, X:
+                            rows.append(len(X)) or transform(self, X))
+        rc, _ = run(tmp_path, "vb", "verify-bound", *TINY,
+                    "--set", "data.visits=8", "--set", "data.missing_rate=0.2",
+                    "--set", "bound.tau_max=3")
+        assert rc == 0, capsys.readouterr().err
+        assert rows == [14 * 8]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("n_windows", [0, -1])
+    def test_descent_on_no_windows(self, tmp_path, capsys, n_windows):
+        # an empty batch died with a ZeroDivisionError in composite_loss
+        rc, _ = run(tmp_path, "vd", "verify-descent", *TINY[:8],
+                    "--set", f"descent.n_windows={n_windows}")
+        assert rc == 1
+        assert "at least one window" in capsys.readouterr().err
+
     def test_descent_with_negative_control(self, tmp_path, capsys):
         rc, out = run(tmp_path, "vd", "verify-descent", "--seed", "0",
                       "--set", "data.n_subjects=12", "--set", "data.visits=5",
@@ -451,6 +490,50 @@ def tiny_checkpoint(tmp_path_factory):
     out = tmp_path_factory.mktemp("ckpt")
     assert main(["train", *TINY, "--out", str(out)]) == 0
     return out
+
+
+def _numeric_keys():
+    from nkm.config import COMMAND_DEFAULTS
+    return [(command, key) for command, table in sorted(COMMAND_DEFAULTS.items())
+            for key, default in sorted(table.items())
+            if isinstance(default, (int, float)) and not isinstance(default, bool)]
+
+
+@pytest.mark.parametrize("command,key", _numeric_keys())
+def test_numeric_keys_refuse_a_string(command, key, tmp_path, capsys):
+    """`--set key=nan` parses as the string "nan"; it died with a TypeError
+    traceback deep in the run, or ran on."""
+    rc, out = run(tmp_path, "o", command, "--set", f"{key}=nan")
+    assert rc == 2
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,key,value,ok", [
+    ("cv", "cv.k", "2.0", False), ("cv", "cv.k", "true", False),
+    ("cv", "optim.lr", "1", True), ("cv", "optim.lr", "false", False),
+    ("edmd", "edmd.include_identity", "1", False),
+    ("edmd", "edmd.include_identity", "false", True),
+    ("ablate", "ablate.setups", '"full"', False),
+    ("ablate", "ablate.setups", '["full"]', True),
+    ("train", "train.mode", "3", False), ("train", "model.d_z", "8", True),
+    ("train", "model.d_z", '"eight"', True)])
+def test_config_values_take_their_defaults_json_type(command, key, value, ok):
+    # a None default (model.d_z) takes any value; its consumer checks it
+    from nkm.config import ConfigError, build_config, parse_override
+    if ok:
+        build_config(command, overrides=[parse_override(f"{key}={value}")])
+    else:
+        with pytest.raises(ConfigError, match=key):
+            build_config(command, overrides=[parse_override(f"{key}={value}")])
+
+
+def test_config_file_value_of_the_wrong_type(tmp_path, capsys):
+    cfg_file = tmp_path / "c.json"
+    cfg_file.write_text(json.dumps({"cv.k": 2.5}))
+    rc, _ = run(tmp_path, "o", "cv", "--config", str(cfg_file))
+    assert rc == 2
+    assert "'cv.k' (from config file)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", sorted(_KEY_SCAN_RUNS))

@@ -145,6 +145,13 @@ class TestFolds:
         assert len(va) == 2 and len(tr) == 8
         assert not set(tr) & set(va)
 
+    @pytest.mark.parametrize("val_frac", [0.0, 1.0, 1.5, -0.2, float("nan"),
+                                          float("inf"), "0.2", True])
+    def test_train_val_split_refuses_a_fraction_outside_0_1(self, val_frac):
+        # 1.5 and 0 were clamped to one subject on one side
+        with pytest.raises(ValueError, match="val_frac"):
+            train_val_split([f"S{i}" for i in range(10)], val_frac=val_frac)
+
 
 class TestPreprocessor:
     def test_standardize_known_column(self):

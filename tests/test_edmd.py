@@ -227,10 +227,8 @@ class TestForecastApi:
                               noise_sd=0.05, missing_rate=0.1)
         table, _ = generate_synthetic(cfg, seed=9)
         fold = materialize_fold(table, table.unique_subjects()[:4], seed=0)
-        train_table = table.subset_subjects(fold.train_subjects
-                                            + fold.val_subjects)
-        train_table = train_table.with_features(
-            fold.preprocessor.transform(train_table.X))
+        train_table = fold.table.subset_subjects(fold.train_subjects
+                                                 + fold.val_subjects)
         model = EdmdModel(EdmdConfig(n_centers=20, seed=0)).fit(train_table)
         pred = model.predict_windows(fold.test)
         assert pred.shape == (len(fold.test), 3)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from nkm import schema
@@ -367,18 +367,62 @@ def test_window_count(per_subject, w, nan_rate, seed):
 
 @settings(max_examples=30, deadline=None)
 @given(k=st.integers(2, 5), extra=st.integers(0, 8), fold=st.integers(0, 4),
-       val_frac=st.floats(0.05, 0.6), seed=SEEDS)
-def test_folds_are_disjoint_and_cover_every_subject(k, extra, fold, val_frac, seed):
+       val_frac=st.floats(0.05, 0.6), missing_rate=st.sampled_from([0.0, 0.1, 0.25]),
+       seed=SEEDS)
+def test_folds_are_disjoint_and_cover_every_subject(k, extra, fold, val_frac,
+                                                    missing_rate, seed):
     table, _ = generate_synthetic(SyntheticConfig(
-        n_subjects=k + 2 + extra, visits_per_subject=4), seed=seed % 1000)
+        n_subjects=k + 2 + extra, visits_per_subject=4,
+        missing_rate=missing_rate), seed=seed % 1000)
     subjects = table.unique_subjects()
     folds = subject_kfold(subjects, k=k, seed=seed)
     assert sorted(s for f in folds for s in f) == sorted(subjects)
     assert max(map(len, folds)) - min(map(len, folds)) <= 1
-    fd = materialize_fold(table, folds[fold % k], seed=seed, val_frac=val_frac)
+    try:
+        fd = materialize_fold(table, folds[fold % k], seed=seed, val_frac=val_frac)
+    except ValueError as err:     # a few train rows may miss a whole column
+        assert "never observed" in str(err)
+        reject()
     parts = (fd.train_subjects, fd.val_subjects, fd.test_subjects)
     assert all(parts)
     assert sorted(s for p in parts for s in p) == sorted(subjects)
+    # the fold imputes the whole table once; the reference imputes each split,
+    # and EDMD's train+val rows, by a transform of those rows alone
+    assert fd.table.subject_ids == table.subject_ids
+    assert fd.table.Y.tobytes() == table.Y.tobytes()
+    for split, windows in ((fd.train_subjects, fd.train), (fd.val_subjects, fd.val),
+                           (fd.test_subjects, fd.test),
+                           (fd.train_subjects + fd.val_subjects, None)):
+        raw = table.subset_subjects(split)
+        ref = raw.with_features(fd.preprocessor.transform(raw.X))
+        assert fd.table.subset_subjects(split).X.tobytes() == ref.X.tobytes()
+        if windows is not None:
+            want = build_windows(ref, w=3)
+            assert windows.X.tobytes() == want.X.tobytes()
+            assert windows.y.tobytes() == want.y.tobytes()
+            assert windows.subjects == want.subjects
+            assert windows.starts.tobytes() == want.starts.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_train=st.integers(1, 60), n_query=st.integers(0, 3 * _BLOCK), k=st.integers(1, 8),
+       nan_rate=st.sampled_from([0.0, 0.2, 0.6]), grid=st.booleans(),
+       n_parts=st.integers(1, 6), seed=SEEDS)
+def test_transform_of_a_row_partition_equals_the_whole(n_train, n_query, k, nan_rate,
+                                                       grid, n_parts, seed):
+    # what lets a fold impute its whole table once: each row's output
+    # depends on that row and the train rows alone
+    rng = np.random.default_rng(seed)
+    X = random_features(rng, n_train, nan_rate, grid)
+    X[0] = 1.0
+    Q = random_features(rng, n_query, nan_rate, grid)
+    part = rng.integers(0, n_parts, n_query)
+    pre = Preprocessor(k=k).fit(X)
+    whole = pre.transform(Q)
+    pieces = np.empty_like(whole)
+    for p in range(n_parts):
+        pieces[part == p] = pre.transform(Q[part == p])
+    assert whole.tobytes() == pieces.tobytes()
 
 
 FAILING_PROPERTY = """

@@ -282,3 +282,15 @@ class TestCohortShape:
         ("target_noise_sd", 0.0), ("base_drift_scale", -0.05)])
     def test_edge_values_accepted(self, key, value):
         SyntheticConfig(**{key: value})
+
+    @pytest.mark.parametrize("key,value", [
+        ("n_subjects", 2.5), ("n_subjects", "10"), ("n_subjects", True),
+        ("visits_per_subject", 8.0), ("latent_dim", "nan"),
+        ("n_noise_mri", 1.5), ("observed_rank", 2.0),
+        ("missing_rate", "nan"), ("missing_rate", float("nan")),
+        ("missing_rate", "0.2")])
+    def test_counts_and_missing_rate_validated(self, key, value):
+        # n_subjects=2.5 died inside numpy and the string "nan" in a
+        # comparison, both with a TypeError
+        with pytest.raises(ValueError, match=key):
+            SyntheticConfig(**{key: value})

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nkm.data import build_windows, materialize_fold
+from nkm.data import Preprocessor, build_windows, materialize_fold
 from nkm.model import AblationFlags, ArchConfig, NkmModel
 from nkm.optim import OptimConfig
 from nkm.synthetic import SyntheticConfig, generate_synthetic
@@ -15,7 +15,7 @@ from nkm.training import (CvResult, LossConfig, composite_loss, evaluate,
                           evaluate_predictions, koopman_covariances,
                           koopman_fixed_point, koopman_grad_closed_form,
                           model_covariances, pearson, run_ablation, run_cv,
-                          spearman, train, _rank_average_ties)
+                          run_edmd_cv, spearman, train, _rank_average_ties)
 
 
 def tiny_arch(**kw):
@@ -425,6 +425,20 @@ class TestCrossValidation:
         assert [r.setup for r in out] == ["full", "no_control"]
         for r in out:
             assert len(r.folds) == 3
+
+    def test_run_edmd_cv_imputes_each_fold_once(self, monkeypatch):
+        # EDMD fits on the fold's imputed table; it transformed its
+        # train+val rows a second time
+        cfg = SyntheticConfig(n_subjects=18, visits_per_subject=5,
+                              missing_rate=0.2)
+        table, _ = generate_synthetic(cfg, seed=3)
+        rows = []
+        transform = Preprocessor.transform
+        monkeypatch.setattr(Preprocessor, "transform", lambda self, X:
+                            rows.append(len(X)) or transform(self, X))
+        res = run_edmd_cv(table, k=3, seed=0)
+        assert rows == [len(table)] * 3
+        assert len(res.folds) == 3 and math.isfinite(res.mean_pearson())
 
     def test_evaluate_on_model(self):
         table = small_cohort(seed=9)
