@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import schema
-from .data import (VisitTable, Windows, materialize_fold, train_val_split,
-                   visit_runs)
+from .data import (VisitTable, Windows, check_fraction, materialize_fold,
+                   train_val_split, visit_runs)
 from .edmd import EdmdModel
 from .linalg import max_abs_eigenvalue
 from .model import ArchConfig, NkmModel, window_rows
@@ -365,6 +365,7 @@ def feature_importance(table: VisitTable, runs: int = 50, seed: int = 0,
     test windows."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
+    check_fraction(test_frac, "test_frac")
     arch = arch if arch is not None else ArchConfig()
     features = schema.FEATURE_COLUMNS
     n_f = len(features)

@@ -232,11 +232,12 @@ def _cmd_eval(cfg: dict, out_dir: Path) -> None:
           f"mean r={metrics.mean_pearson:.4f}")
 
 
-def _write_cv(res: CvResult, out_dir: Path) -> None:
-    """metrics.csv, the summary report.json and the printed row of one setup."""
+def _write_cv(res: CvResult, out_dir: Path, extra: dict | None = None) -> None:
+    """metrics.csv, the summary report.json (plus `extra`) and the printed
+    row of one setup."""
     _write_metrics_csv(out_dir / "metrics.csv", res.rows())
     summary = _cv_summary(res)
-    _write_report(out_dir, summary)
+    _write_report(out_dir, {**summary, **(extra or {})})
     _print_table_row(summary)
 
 
@@ -269,9 +270,15 @@ def _cmd_ablate(cfg: dict, out_dir: Path) -> None:
 
 def _cmd_edmd(cfg: dict, out_dir: Path) -> None:
     table, _ = _load_table(cfg)
-    _write_cv(run_edmd_cv(table, edmd_from_config(cfg), k=cfg["cv.k"],
-                          seed=cfg["seed"], w=cfg["data.window"],
-                          val_frac=cfg["train.val_frac"]), out_dir)
+    res = run_edmd_cv(table, edmd_from_config(cfg), k=cfg["cv.k"],
+                      seed=cfg["seed"], w=cfg["data.window"],
+                      val_frac=cfg["train.val_frac"])
+    # a rank below the lifted dimension means K is a minimum-norm solution
+    ranks = [f.result.rank_ for f in res.folds]
+    dim = res.folds[0].result.dictionary.lifted_dim
+    _write_cv(res, out_dir, {"gram_rank": ranks, "lifted_dim": dim})
+    if ranks[0] is not None:
+        print(f"Gram matrix rank per fold: {ranks} of {dim}")
 
 
 def _cmd_verify_bound(cfg: dict, out_dir: Path) -> None:

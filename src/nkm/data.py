@@ -210,12 +210,17 @@ def subject_kfold(subjects: list[str], k: int = 5, seed: int = 0) -> list[list[s
     return folds
 
 
+def check_fraction(value, name: str) -> None:
+    """Refuse `value` unless it is a real number in (0, 1), naming it `name`."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0.0 < value < 1.0):
+        raise ValueError(f"{name} must be a number in (0, 1), got {value!r}")
+
+
 def train_val_split(subjects: list[str], val_frac: float = 0.2,
                     seed: int = 0) -> tuple[list[str], list[str]]:
     """Subject-level split; both sides non-empty."""
-    if (isinstance(val_frac, bool) or not isinstance(val_frac, numbers.Real)
-            or not 0.0 < val_frac < 1.0):
-        raise ValueError(f"val_frac must be a number in (0, 1), got {val_frac!r}")
+    check_fraction(val_frac, "val_frac")
     if len(subjects) < 2:
         raise ValueError("need at least 2 subjects to split")
     order = list(subjects)

@@ -112,9 +112,12 @@ def fit_dictionary(X: np.ndarray, cfg: EdmdConfig) -> RbfDictionary:
                          cfg.include_constant)
 
 
-def fit_edmd(X_lifted: np.ndarray, Y_lifted: np.ndarray, alpha: float = 0.0
-             ) -> np.ndarray:
-    """Operator from snapshot matrices with rows psi(x_i), psi(y_i)."""
+def fit_edmd(X_lifted: np.ndarray, Y_lifted: np.ndarray, alpha: float = 0.0,
+             return_rank: bool = False):
+    """Operator from snapshot matrices with rows psi(x_i), psi(y_i). With
+    return_rank, returns (K, rank): the numerical rank of G from the SVD of
+    its pseudo-inverse, or None when alpha > 0 and G + alpha I is inverted
+    instead. Below the lifted dimension, K is the minimum-norm solution."""
     X_lifted = np.asarray(X_lifted, dtype=np.float64)
     Y_lifted = np.asarray(Y_lifted, dtype=np.float64)
     if X_lifted.shape != Y_lifted.shape or X_lifted.ndim != 2:
@@ -125,8 +128,11 @@ def fit_edmd(X_lifted: np.ndarray, Y_lifted: np.ndarray, alpha: float = 0.0
     G = X_lifted.T @ X_lifted / m
     A = Y_lifted.T @ X_lifted / m
     if alpha > 0.0:
-        return A @ np.linalg.inv(G + alpha * np.eye(G.shape[0]))
-    return A @ pinv(G)
+        K, rank = A @ np.linalg.inv(G + alpha * np.eye(G.shape[0])), None
+    else:
+        G_pinv, rank = pinv(G, return_rank=True)
+        K = A @ G_pinv
+    return (K, rank) if return_rank else K
 
 
 class EdmdModel:
@@ -136,6 +142,7 @@ class EdmdModel:
         self.cfg = cfg if cfg is not None else EdmdConfig()
         self.dictionary: RbfDictionary | None = None
         self.K: np.ndarray | None = None
+        self.rank_: int | None = None            # of G, see `fit_edmd`
         self.readout: np.ndarray | None = None   # (lifted_dim, 3)
 
     def _require_fitted(self):
@@ -150,7 +157,8 @@ class EdmdModel:
         if not len(pairs):
             raise ValueError("no consecutive visit pairs in table")
         lifted = self.dictionary.lift(table.X)
-        self.K = fit_edmd(lifted[pairs[:, 0]], lifted[pairs[:, 1]], self.cfg.alpha)
+        self.K, self.rank_ = fit_edmd(lifted[pairs[:, 0]], lifted[pairs[:, 1]],
+                                      self.cfg.alpha, return_rank=True)
         keep = np.all(np.isfinite(table.Y), axis=1)
         if not np.any(keep):
             raise ValueError("no rows with observed targets for the readout")

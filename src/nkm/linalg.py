@@ -110,15 +110,19 @@ def spectral_norm_differentiable(K: Tensor) -> Tensor:
     return _make(out, (K,), backward)
 
 
-def pinv(A: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse; singular values <= 1e-12 * sigma_max drop to 0."""
+def pinv(A: np.ndarray, return_rank: bool = False):
+    """Moore-Penrose pseudoinverse; singular values <= 1e-12 * sigma_max drop
+    to 0. With return_rank, returns (pinv, rank): the rank is the number of
+    singular values kept, read from the same SVD."""
     A = check_matrix(A, "A")
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
-        return np.zeros((A.shape[1], A.shape[0]))
-    cut = _RCOND * s[0]
-    inv = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
-    return (Vt.T * inv) @ U.T
+        P, rank = np.zeros((A.shape[1], A.shape[0])), 0
+    else:
+        keep = s > _RCOND * s[0]
+        inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+        P, rank = (Vt.T * inv) @ U.T, int(np.count_nonzero(keep))
+    return (P, rank) if return_rank else P
 
 
 def clip_singular_values(K: np.ndarray, smax: float) -> np.ndarray:

@@ -9,15 +9,17 @@ Per window of w standardized visits the model computes
     y_hat = decode(K z_last^ref + c_t)
 c_time attends over the w refined states (n_heads column blocks of one Q, K
 and V projection each), c_feat over the G group embeddings, both in `_attend`.
-`forward` serves training and the loss: it encodes and refines all B*w
-visits of a batch at once, as visit-major rows (row t*B + b is visit t of
-window b), so that dropout draws a mask for every occurrence of a visit. All
-its array math runs on the autodiff tape; diagnostics (attention weights,
-gate) are detached copies. `latents` is the pass of every consumer that
-needs no loss: it encodes and refines each distinct visit of overlapping
-windows once, then runs the control, and builds no tape. `predict` decodes K z_last + c from it; the
-bound harness, latent rollouts and `verify_descent`'s covariances read z and
-c from it directly.
+`forward` (training and the loss) and `latents` (every consumer that needs
+no loss) run one latent pass: it encodes and refines each distinct visit of
+the windows once, with one dropout mask per visit in training, projects the
+attention keys and values once per distinct visit, and gathers the windows
+visit-major (row t*B + b is visit t of window b) with `take_rows`, whose
+backward adds up the gradients of a visit that several windows share.
+`forward` runs the pass on the tape and decodes K z_last + c; diagnostics
+(attention weights, gate) are detached copies. `latents` runs it without a
+tape and stops before the decoder: `predict` decodes K z_last + c from it,
+and the bound harness, latent rollouts and `verify_descent`'s covariances
+read z and c from it directly.
 """
 from __future__ import annotations
 
@@ -207,6 +209,11 @@ def window_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct.view(np.float64).reshape(-1, f), inverse.reshape(B, w)
 
 
+def _pick(t: Tensor, rows: np.ndarray | None) -> Tensor:
+    """t, or its rows `rows` (`take_rows`) when given."""
+    return t if rows is None else take_rows(t, rows)
+
+
 class NkmModel:
     """Holds parameters and runs the forward pass. Seeded construction."""
 
@@ -344,59 +351,78 @@ class NkmModel:
         return (reshape(ctx, (B, heads * e)),
                 weights.data[..., 0].transpose(1, 2, 0).copy())
 
-    def temporal_context(self, z: Tensor, z_last: Tensor
+    def temporal_context(self, z: Tensor, z_last: Tensor,
+                         rows: np.ndarray | None = None,
+                         last: np.ndarray | None = None
                          ) -> tuple[Tensor, np.ndarray]:
-        """Attention over the window's refined states z (visit-major rows),
-        query = final state z_last.
+        """Attention of each window's final state over its w refined states.
+
+        z holds the states as visit-major rows, or, with `rows` given, each
+        distinct state once and rows (w*B,) picks them visit-major. z_last
+        holds the queries, one per window, or, with `last` given, one per
+        distinct final visit and last (B,) picks each window's. Projections
+        run on the rows as given, before the pick.
 
         Returns (c_time, alpha) with alpha of shape (B, n_heads, w).
         """
         a = self.arch
-        B = z_last.data.shape[0]
-        w = z.data.shape[0] // B
+        B = len(z_last.data) if last is None else len(last)
+        w = (len(z.data) if rows is None else len(rows)) // B
         if self.ablation.no_temporal_attention:
-            c = tmean(reshape(z, (w, B, a.d_z)), axis=0)
+            c = tmean(reshape(_pick(z, rows), (w, B, a.d_z)), axis=0)
             return c, np.full((B, a.n_heads, w), 1.0 / w)
 
-        q = matmul(z_last, self.params["attn_t.q.W"])
-        ctx, alpha = self._attend(q, matmul(z, self.params["attn_t.k.W"]),
-                                  matmul(z, self.params["attn_t.v.W"]),
-                                  w, a.n_heads)
-        return matmul(ctx, self.params["attn_t.out.W"]), alpha
+        p = self.params
+        q = _pick(matmul(z_last, p["attn_t.q.W"]), last)
+        keys = _pick(matmul(z, p["attn_t.k.W"]), rows)
+        vals = _pick(matmul(z, p["attn_t.v.W"]), rows)
+        ctx, alpha = self._attend(q, keys, vals, w, a.n_heads)
+        return matmul(ctx, p["attn_t.out.W"]), alpha
 
-    def feature_context(self, z_last: Tensor, embeds: dict[str, Tensor]
+    def feature_context(self, z_last: Tensor, embeds: dict[str, Tensor],
+                        last: np.ndarray | None = None
                         ) -> tuple[Tensor, np.ndarray]:
-        """Attention over the final visit's group embeddings.
+        """Attention of each window's final state over the group embeddings
+        of its final visit.
+
+        z_last and embeds hold one row per window, or, with `last` given,
+        one per distinct final visit and last (B,) picks each window's.
+        Projections run on the rows as given, before the pick.
 
         Returns (c_feat, beta) with beta of shape (B, n_groups).
         """
         groups = self.arch.groups
         G = len(groups)
-        B = z_last.data.shape[0]
-        vals = concat([matmul(embeds[g], self.params[f"attn_f.val.{g}.W"])
-                       for g in groups], axis=0)
+        n = len(z_last.data)
+        B = n if last is None else len(last)
+        # candidate-major: group i of window b is row i*n + last[b]
+        cand = None if last is None else (np.arange(G)[:, None] * n + last).ravel()
+        vals = _pick(concat([matmul(embeds[g], self.params[f"attn_f.val.{g}.W"])
+                             for g in groups], axis=0), cand)
         if self.ablation.no_feature_attention:
             c = tmean(reshape(vals, (G, B, self.arch.d_z)), axis=0)
             return c, np.full((B, G), 1.0 / G)
-        q = matmul(z_last, self.params["attn_f.q.W"])
-        keys = concat([matmul(embeds[g], self.params[f"attn_f.key.{g}.W"])
-                       for g in groups], axis=0)
+        q = _pick(matmul(z_last, self.params["attn_f.q.W"]), last)
+        keys = _pick(concat([matmul(embeds[g], self.params[f"attn_f.key.{g}.W"])
+                             for g in groups], axis=0), cand)
         c, beta = self._attend(q, keys, vals, G, 1)
         return c, beta[:, 0, :]
 
-    def control(self, z: Tensor, z_last: Tensor, embeds_last: dict[str, Tensor]
+    def control(self, z: Tensor, z_last: Tensor, embeds_last: dict[str, Tensor],
+                rows: np.ndarray | None = None, last: np.ndarray | None = None
                 ) -> tuple[Tensor, np.ndarray, np.ndarray, np.ndarray]:
-        """Gated mix of temporal and feature contexts; (c, alpha, beta, gate)."""
-        B = z_last.data.shape[0]
+        """Gated mix of temporal and feature contexts; (c, alpha, beta, gate).
+        rows and last are as in `temporal_context` and `feature_context`."""
+        B = len(z_last.data) if last is None else len(last)
         a = self.arch
         if self.ablation.no_control:
             zero = Tensor(np.zeros((B, a.d_z)))
             return (zero, np.full((B, a.n_heads, a.window), 1.0 / a.window),
                     np.full((B, len(a.groups)), 1.0 / len(a.groups)),
                     np.full((B, a.d_z), 0.5))
-        c_time, alpha = self.temporal_context(z, z_last)
-        c_feat, beta = self.feature_context(z_last, embeds_last)
-        gin = concat([z_last, c_time], axis=1)
+        c_time, alpha = self.temporal_context(z, z_last, rows, last)
+        c_feat, beta = self.feature_context(z_last, embeds_last, last)
+        gin = concat([_pick(z_last, last), c_time], axis=1)
         gate = sigmoid(add(matmul(gin, self.params["gate.W"]), self.params["gate.b"]))
         ones = Tensor(np.ones_like(gate.data))
         c = add(mul(gate, c_feat), mul(sub(ones, gate), c_time))
@@ -421,31 +447,53 @@ class NkmModel:
                              f"got {X.shape}")
         return X
 
+    def _latent_pass(self, visits: np.ndarray, rows: np.ndarray,
+                     train: bool = False, rng: np.random.Generator | None = None
+                     ) -> tuple[Tensor, Tensor, Tensor, np.ndarray, np.ndarray,
+                                np.ndarray]:
+        """Latents and control of the windows `rows` (n, w) over the visit
+        matrix `visits`, on the tape unless recording is off.
+
+        Every visit that some window uses is encoded and refined once, with
+        its own dropout mask in training; the attention projects keys and
+        values once per such visit, and queries and feature candidates once
+        per distinct final visit. Returns (z, z_last, c, alpha, beta, gate)
+        as in `ForwardOut`.
+        """
+        n, w = rows.shape
+        used = np.zeros(len(visits), dtype=bool)
+        used[rows] = True
+        # position of each used visit among the used ones, in visit order
+        gather = (np.cumsum(used) - 1)[rows.T].ravel()      # visit-major
+        final = gather[(w - 1) * n:]
+        lasts, last = np.unique(final, return_inverse=True)
+        if len(lasts) == n:         # no two windows end at the same visit
+            lasts, last = final, None
+        z_enc, embeds = self.encode_rows(visits[used], train=train, rng=rng)
+        z = self.refine(z_enc, train=train, rng=rng)
+        z_lasts = take_rows(z, lasts)
+        c, alpha, beta, gate = self.control(
+            z, z_lasts, {g: take_rows(h, lasts) for g, h in embeds.items()},
+            rows=gather, last=last)
+        return take_rows(z, gather), _pick(z_lasts, last), c, alpha, beta, gate
+
     def forward(self, X: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> ForwardOut:
         """Windows (B, w, 44) -> next-visit predictions plus diagnostics, on
-        the tape; every visit of every window is encoded, so that training
-        draws a dropout mask per occurrence."""
+        the tape. The latent pass runs over the distinct visits of the batch
+        (`window_rows`), so training draws one dropout mask per visit,
+        however many windows share it."""
         X = self._check_windows(X)
-        a = self.arch
-        B = X.shape[0]
-        rows = X.transpose(1, 0, 2).reshape(a.window * B, schema.N_FEATURES)
-        z_enc, embeds = self.encode_rows(rows, train=train, rng=rng)
-        z = self.refine(z_enc, train=train, rng=rng)
-        last = slice((a.window - 1) * B, None)
-        z_last = take_rows(z, last)
-        embeds_last = {g: take_rows(h, last) for g, h in embeds.items()}
-        c, alpha, beta, gate = self.control(z, z_last, embeds_last)
+        z, z_last, c, alpha, beta, gate = self._latent_pass(
+            *window_rows(X), train=train, rng=rng)
         z_next = self.koopman_step(z_last, c)
         pred = self.decode(z_next, train=train, rng=rng)
         return ForwardOut(pred, c, z_next, z, z_last, alpha, beta, gate)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Eval-mode predictions (B, 3) of windows (B, w, 44): decode
-        K z_last + c from the latent pass, which encodes each distinct visit
-        once; builds no tape. Equals `forward(X).pred` up to BLAS rounding of
-        the changed row count, which the desk-size tests find bitwise equal
-        unless the batch holds a single distinct visit."""
+        K z_last + c from the latent pass; builds no tape. Equals
+        `forward(X).pred` byte for byte, as both run the same operations."""
         X = self._check_windows(X)
         if not len(X):
             return np.zeros((0, schema.N_TARGETS))
@@ -456,35 +504,24 @@ class NkmModel:
     def latents(self, visits: np.ndarray, rows: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Eval-mode latents and controls of windows given as row indices,
-        without the decoder; builds no tape.
+        without the decoder: the latent pass of `forward`, with no tape.
 
         visits is a (m, 44) visit matrix and rows (n, w) indices into it, one
         window per row, as `visit_runs` and `window_rows` return them
-        (w = arch.window). Every visit that some window uses is encoded and
-        refined once, however many windows share it; the windows are then
-        gathered visit-major as in `forward`. Returns (z, z_last, c): z
-        (w*n, d_z) with row t*n + b visit t of window b, z_last (n, d_z) its
-        last n rows, c (n, d_z) the controls. These equal `forward`'s z,
-        z_last and control up to BLAS rounding of the changed row count; the
+        (w = arch.window). Returns (z, z_last, c): z (w*n, d_z) with row
+        t*n + b visit t of window b, z_last (n, d_z) its last n rows, c
+        (n, d_z) the controls. These equal `forward`'s z, z_last and control
+        up to BLAS rounding of a changed row count, as `forward` encodes the
+        distinct visits by bytes rather than the used rows of `visits`; the
         desk-size tests find them bitwise equal.
         """
         rows = np.asarray(rows)
         w = self.arch.window
         if rows.ndim != 2 or rows.shape[1] != w:
             raise ValueError(f"expected window rows (n, {w}), got {rows.shape}")
-        visits = np.asarray(visits)
-        used = np.zeros(len(visits), dtype=bool)
-        used[rows] = True
-        # position of each used visit among the used ones, in visit order
-        gather = (np.cumsum(used) - 1)[rows.T].ravel()      # visit-major
-        last = slice((w - 1) * rows.shape[0], None)
         with no_grad():
-            z_used, embeds = self.encode_rows(visits[used])
-            z = self.refine(z_used).data[gather]
-            embeds_last = {g: Tensor(h.data[gather[last]])
-                           for g, h in embeds.items()}
-            c = self.control(Tensor(z), Tensor(z[last]), embeds_last)[0]
-        return z, z[last], c.data
+            z, z_last, c, *_ = self._latent_pass(np.asarray(visits), rows)
+        return z.data, z_last.data, c.data
 
     # ---- spectral control ----------------------------------------------
 

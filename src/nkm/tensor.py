@@ -429,14 +429,19 @@ def reshape(a, shape) -> Tensor:
     return _make(a.data.reshape(shape), (a,), backward)
 
 
-def take_rows(a, rows: slice) -> Tensor:
-    """The block a[rows] along axis 0."""
+def take_rows(a, rows: slice | np.ndarray) -> Tensor:
+    """a[rows] along axis 0: a block for a slice, or the rows an integer index
+    array names, in its order and as often as it names them. The backward
+    adds each occurrence's gradient into its row, in index order."""
     a = as_tensor(a)
 
     def backward(g):
         if a.requires_grad:
             full = np.zeros_like(a.data)
-            full[rows] = g
+            if isinstance(rows, slice):
+                full[rows] = g
+            else:
+                np.add.at(full, rows, g)
             a._accumulate(full)
 
     return _make(a.data[rows], (a,), backward)

@@ -1,5 +1,10 @@
 """Composite loss, covariance-form Koopman updates, training loops, metrics.
 
+Training batches are whole subjects: each epoch shuffles the train subjects
+and closes a batch at the first subject that brings it to at least
+batch_size windows (`subject_batches`), so a batch holds every window of its
+subjects, and the model encodes each of their visits once per step.
+
 Loss per batch of windows:
     L = L_pred + lambda * L_koop + R_spec
     L_pred   mean over windows of the squared prediction error
@@ -149,16 +154,46 @@ def _val_loss(model: NkmModel, windows: Windows, cfg: LossConfig) -> float:
     return float(total.data)
 
 
+def subject_batches(subjects: list[str], batch_size: int,
+                    rng: np.random.Generator) -> list[np.ndarray]:
+    """One epoch's batches, as indices into windows whose subjects are
+    `subjects`: the subjects in an order drawn from rng, each batch closed
+    at the first subject that brings it to at least batch_size windows.
+    Every window lands in one batch with all of its subject's windows, in
+    their order in `subjects`; all batches but the last hold batch_size or
+    more windows, so there are at most ceil(n / batch_size) of them."""
+    code: dict[str, int] = {}     # first-appearance position
+    ids = np.array([code.setdefault(s, len(code)) for s in subjects],
+                   dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    groups = np.split(order, np.cumsum(np.bincount(ids))[:-1])
+    batches, cur, count = [], [], 0
+    for g in rng.permutation(len(code)):
+        cur.append(groups[g])
+        count += len(groups[g])
+        if count >= batch_size:
+            batches.append(np.concatenate(cur))
+            cur, count = [], 0
+    if cur:
+        batches.append(np.concatenate(cur))
+    return batches
+
+
 def train(model: NkmModel, train_windows: Windows, val_windows: Windows,
           optim_cfg: OptimConfig | None = None, loss_cfg: LossConfig | None = None,
           mode: str = "joint", seed: int = 0, project_final: bool = True
           ) -> TrainResult:
-    """Minibatch training with plateau lr decay, early stopping, and
-    best-validation parameter restore. Deterministic given (seed, data)."""
+    """Minibatch training over `subject_batches` with plateau lr decay,
+    early stopping, and best-validation parameter restore. Each history
+    record holds the epoch's mean loss parts and pre-clip gradient norm over
+    its steps, the step count, the validation loss and the lr.
+    Deterministic given (seed, data)."""
     if mode not in ("joint", "alternating"):
         raise ValueError("mode must be 'joint' or 'alternating'")
     if len(train_windows) == 0 or len(val_windows) == 0:
         raise ValueError("train and val window sets must be non-empty")
+    if len(train_windows.subjects) != len(train_windows):
+        raise ValueError("train windows need one subject per window")
     optim_cfg = optim_cfg if optim_cfg is not None else OptimConfig()
     loss_cfg = loss_cfg if loss_cfg is not None else LossConfig()
 
@@ -166,8 +201,6 @@ def train(model: NkmModel, train_windows: Windows, val_windows: Windows,
     sched = PlateauScheduler(opt, optim_cfg.plateau_factor, optim_cfg.plateau_patience)
     stopper = EarlyStopper(optim_cfg.early_stop_patience)
     rng = np.random.default_rng(seed)
-    n = len(train_windows)
-    bs = min(optim_cfg.batch_size, n)
     history: list[dict] = []
     best_params = model.params.copy_values()
     best_val = np.inf
@@ -179,11 +212,10 @@ def train(model: NkmModel, train_windows: Windows, val_windows: Windows,
         model.K.requires_grad = False
     try:
         for epoch in range(optim_cfg.epochs):
-            perm = rng.permutation(n)
-            sums = {"L_pred": 0.0, "L_koop": 0.0, "R_spec": 0.0}
-            n_batches = 0
-            for lo in range(0, n, bs):
-                idx = perm[lo:lo + bs]
+            batches = subject_batches(train_windows.subjects,
+                                      optim_cfg.batch_size, rng)
+            sums = {"L_pred": 0.0, "L_koop": 0.0, "R_spec": 0.0, "grad_norm": 0.0}
+            for idx in batches:
                 model.params.zero_grad()
                 try:
                     total, parts, fwd = composite_loss(
@@ -192,7 +224,8 @@ def train(model: NkmModel, train_windows: Windows, val_windows: Windows,
                 except RuntimeError as err:
                     raise RuntimeError(f"epoch {epoch}: {err}") from None
                 total.backward()
-                clip_global_norm(model.params, optim_cfg.clip_norm)
+                parts["grad_norm"] = clip_global_norm(model.params,
+                                                      optim_cfg.clip_norm)
                 opt.step()
                 if mode == "alternating":
                     covs = koopman_covariances(fwd.z.data, fwd.control.data)
@@ -203,14 +236,12 @@ def train(model: NkmModel, train_windows: Windows, val_windows: Windows,
                     model.project_spectral(loss_cfg.rho)
                 for k in sums:
                     sums[k] += parts[k]
-                n_batches += 1
 
             val = _val_loss(model, val_windows, loss_cfg)
             history.append({"epoch": epoch,
-                            "L_pred": sums["L_pred"] / n_batches,
-                            "L_koop": sums["L_koop"] / n_batches,
-                            "R_spec": sums["R_spec"] / n_batches,
-                            "val_loss": val, "lr": opt.lr})
+                            **{k: v / len(batches) for k, v in sums.items()},
+                            "steps": len(batches), "val_loss": val,
+                            "lr": opt.lr})
             if val < best_val:
                 best_val = val
                 best_epoch = epoch
@@ -330,7 +361,7 @@ def evaluate(model: NkmModel, windows: Windows) -> EvalMetrics:
 class FoldOutcome:
     fold: int
     metrics: EvalMetrics
-    result: TrainResult | None = None
+    result: TrainResult | EdmdModel | None = None   # the fold's fitted model
 
 
 @dataclass
@@ -389,7 +420,8 @@ def run_edmd_cv(table: VisitTable, edmd_cfg: EdmdConfig | None = None, k: int = 
         model = EdmdModel(edmd_cfg).fit(
             fd.table.subset_subjects(fd.train_subjects + fd.val_subjects))
         return FoldOutcome(f, evaluate_predictions(
-            fd.test.y, model.predict_windows(fd.test), schema.TARGET_COLUMNS))
+            fd.test.y, model.predict_windows(fd.test), schema.TARGET_COLUMNS),
+            model)
 
     return _run_folds("edmd_rbf", table, k, seed, w, val_frac, score)
 

@@ -355,6 +355,13 @@ class TestLatentExport:
 
 
 class TestFeatureImportance:
+    @pytest.mark.parametrize("test_frac", [0, 1.0, True])
+    def test_refusal_names_test_frac(self, test_frac):
+        # it named train_val_split's parameter, val_frac
+        table = long_cohort(seed=9, n_subjects=12, visits=5)
+        with pytest.raises(ValueError, match="^test_frac must be a number"):
+            feature_importance(table, runs=1, test_frac=test_frac)
+
     def test_zeroed_feature_has_exactly_zero_importance(self):
         table = long_cohort(seed=9, n_subjects=12, visits=5)
         feature = "CSF_TAU"

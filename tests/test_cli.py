@@ -96,10 +96,12 @@ class TestExitCodes:
     def test_split_fractions_outside_0_1(self, tmp_path, capsys, command, key,
                                          value):
         # val_frac=1.5 ran with one train subject per fold, and test_frac=0
-        # held out one subject
+        # held out one subject; the refusal of test_frac named val_frac
         rc, out = run(tmp_path, "o", command, *TINY[:4], "--set", f"{key}={value}")
         assert rc == 1
-        assert "val_frac must be a number in (0, 1)" in capsys.readouterr().err
+        leaf = key.split(".")[1]
+        assert (f"nkm: {leaf} must be a number in (0, 1), got {value}"
+                in capsys.readouterr().err)
         assert not (out / "report.json").exists()
 
     def test_missing_input_data_file(self, tmp_path, capsys):
@@ -304,6 +306,21 @@ class TestEdmdCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["setup"] == "edmd_rbf" and report["folds"] == 3
         capsys.readouterr()
+
+    def test_reports_the_gram_rank(self, tmp_path, capsys):
+        # 20 centres + 44 identity columns + a constant over 8 train+val
+        # subjects: the one-hot blocks sum to the constant, so G is singular
+        # and the solve falls back to its pseudo-inverse
+        rc, out = run(tmp_path, "d", "edmd", "--seed", "1",
+                      "--set", "data.n_subjects=15", "--set", "data.visits=5",
+                      "--set", "cv.k=3", "--set", "edmd.n_centers=20")
+        assert rc == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["lifted_dim"] == 65
+        assert len(report["gram_rank"]) == 3
+        assert all(0 < r < 65 for r in report["gram_rank"])
+        assert (f"Gram matrix rank per fold: {report['gram_rank']} of 65"
+                in capsys.readouterr().out)
 
     def test_small_cohort_with_train_constant_columns(self, tmp_path, capsys):
         # ten subjects leave one-hot columns constant in some train splits;

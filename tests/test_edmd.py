@@ -130,6 +130,26 @@ class TestOperatorSolve:
                  for a in (1.0, 10.0, 100.0, 1000.0)]
         assert all(b < a for a, b in zip(norms, norms[1:]))
 
+    def test_rank_of_a_singular_gram_matrix(self):
+        # the third lifted column repeats the first, so G has rank 2 of 3
+        X = np.random.default_rng(9).normal(size=(30, 2))
+        X = np.hstack([X, X[:, :1]])
+        K, rank = fit_edmd(X, X, return_rank=True)
+        assert rank == 2
+        assert np.array_equal(K, fit_edmd(X, X))
+        assert fit_edmd(X, X, alpha=1e-3, return_rank=True)[1] is None
+
+    def test_model_records_the_gram_rank(self):
+        # every one-hot block sums to 1, a multiple of the constant column
+        cfg = SyntheticConfig(n_subjects=12, visits_per_subject=5)
+        table, _ = generate_synthetic(cfg, seed=2)
+        fold = materialize_fold(table, table.unique_subjects()[:3], seed=2)
+        model = EdmdModel(EdmdConfig(n_centers=10)).fit(fold.table)
+        assert model.rank_ <= model.dictionary.lifted_dim - 4
+        assert model.rank_ >= 1
+        assert EdmdModel(EdmdConfig(n_centers=10, alpha=1e-3)).fit(
+            fold.table).rank_ is None
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             fit_edmd(np.zeros((3, 2)), np.zeros((4, 2)))

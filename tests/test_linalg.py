@@ -123,6 +123,9 @@ class TestSvdPinv:
         P = LA.pinv(A)
         assert np.allclose(A @ P @ A, A, atol=1e-12)
         assert np.linalg.matrix_rank(P) == 1
+        P2, rank = LA.pinv(A, return_rank=True)
+        assert rank == 1 and np.array_equal(P2, P)
+        assert LA.pinv(np.zeros((3, 2)), return_rank=True)[1] == 0
 
     def test_pinv_zero_matrix(self):
         P = LA.pinv(np.zeros((3, 2)))

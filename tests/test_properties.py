@@ -1,8 +1,10 @@
-"""Property tests (hypothesis): batching, covariance bookkeeping, projection,
-KNN imputation, CSV round trip, window counts, fold disjointness."""
+"""Property tests (hypothesis): batching, subject batches, covariance
+bookkeeping, projection, KNN imputation, CSV round trip, window counts, fold
+disjointness."""
 from __future__ import annotations
 
 import functools
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +20,7 @@ from nkm.data import (_BLOCK, Preprocessor, VisitTable, build_windows, load_visi
 from nkm.model import ABLATION_SETUPS, AblationFlags, ArchConfig, NkmModel
 from nkm.synthetic import SyntheticConfig, generate_synthetic
 from nkm.tensor import no_grad
-from nkm.training import koopman_covariances
+from nkm.training import koopman_covariances, subject_batches
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -68,10 +70,10 @@ def desk_model(seed: int, setup: str) -> NkmModel:
 @example(n_visits=2, B=8, sliding=False, setup="full", seed=3)    # repeats
 def test_predict_equals_forward_bytes_at_desk_size(n_visits, B, sliding,
                                                    setup, seed):
-    """The encode-once latent pass gives `forward`'s predictions byte for
-    byte, whether windows overlap, repeat whole, or repeat a visit inside
-    one window, as long as the batch holds two distinct visits. (Two
-    visits over w = 3 repeat a visit inside every window.)"""
+    """`predict` gives eval-mode `forward`'s predictions byte for byte,
+    whether windows overlap, repeat whole, repeat a visit inside one window
+    (two visits over w = 3 do so in every window) or hold a single distinct
+    visit: both run the same latent pass."""
     m = desk_model(seed % 4, setup)
     w = m.arch.window
     rng = np.random.default_rng(seed)
@@ -84,13 +86,43 @@ def test_predict_equals_forward_bytes_at_desk_size(n_visits, B, sliding,
     X = pool[idx]
     with no_grad():
         want = m.forward(X).pred.data
-    got = m.predict(X)
-    if len(np.unique(idx)) > 1:
-        assert np.array_equal(got, want)
-    else:
-        # one distinct visit is one encoder row, a product that takes the
-        # BLAS matrix-vector path: it may round the last bit differently
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.array_equal(m.predict(X), want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(per_subject=st.lists(st.integers(0, 9), min_size=1, max_size=40),
+       batch_size=st.integers(1, 70), shuffled=st.booleans(), seed=SEEDS)
+def test_subject_batches_partition_whole_subjects(per_subject, batch_size,
+                                                  shuffled, seed):
+    """Each epoch's batches partition the windows, keep every subject whole,
+    close at the first subject that reaches batch_size windows, and number
+    at most ceil(n / batch_size)."""
+    subjects = [f"s{i}" for i, k in enumerate(per_subject) for _ in range(k)]
+    if shuffled:
+        subjects = list(np.random.default_rng(seed).permutation(subjects))
+    n = len(subjects)
+    rng = np.random.default_rng(seed)
+    for _ in range(2):      # two epochs from one generator
+        batches = subject_batches(subjects, batch_size, rng)
+        assert sorted(np.concatenate(batches + [np.zeros(0, int)]).tolist()) \
+            == list(range(n))
+        assert len(batches) <= -(-n // batch_size)
+        seen: set[str] = set()
+        for j, idx in enumerate(batches):
+            names = np.array([subjects[i] for i in idx])
+            runs = [name for name, _ in itertools.groupby(names)]
+            assert len(runs) == len(set(runs))       # a subject's windows together
+            for name in runs:
+                mine = idx[names == name]
+                assert len(mine) == subjects.count(name)    # and all of them
+                assert np.all(np.diff(mine) > 0)            # in their order
+            assert seen.isdisjoint(runs)
+            seen |= set(runs)
+            if j < len(batches) - 1:
+                assert len(idx) >= batch_size
+                # closed at the subject that reached batch_size, not after it
+                assert len(idx) - subjects.count(runs[-1]) < batch_size
+        assert seen == set(subjects)
 
 
 @settings(max_examples=50, deadline=None)

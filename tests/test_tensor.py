@@ -183,6 +183,19 @@ class TestLayerNormConcat:
                                          T.take_rows(x, slice(2, None))), w0)),
             x0)
 
+    def test_take_rows_repeated_indices(self):
+        # an index array that names rows out of order and some of them
+        # twice or three times, and skips others: each occurrence's gradient
+        # adds into its row, and a skipped row gets zero
+        x0 = RNG.standard_normal((5, 3))
+        rows = np.array([4, 0, 4, 2, 0, 4])
+        w0 = RNG.standard_normal((6, 3))
+        check_against_fd(
+            lambda x: T.tsum(T.mul(T.square(T.take_rows(x, rows)), w0)), x0)
+        xt = T.Tensor(x0.copy(), requires_grad=True)
+        T.tsum(T.take_rows(xt, rows)).backward()
+        assert np.array_equal(xt.grad[:, 0], [2.0, 0.0, 1.0, 0.0, 3.0])
+
 
 class TestTapeMechanics:
     def test_grad_accumulates_on_reuse(self):

@@ -15,7 +15,8 @@ from nkm.training import (CvResult, LossConfig, composite_loss, evaluate,
                           evaluate_predictions, koopman_covariances,
                           koopman_fixed_point, koopman_grad_closed_form,
                           model_covariances, pearson, run_ablation, run_cv,
-                          run_edmd_cv, spearman, train, _rank_average_ties)
+                          run_edmd_cv, spearman, subject_batches, train,
+                          _rank_average_ties)
 
 
 def tiny_arch(**kw):
@@ -294,10 +295,13 @@ class TestTrainLoop:
         vals = [r["val_loss"] for r in res.history]
         assert res.best_val == min(vals)
         assert res.best_epoch == int(np.argmin(vals))
+        n_subjects = len(set(fold.train.subjects))
         for row in res.history:
             assert set(row) == {"epoch", "L_pred", "L_koop", "R_spec",
-                                "val_loss", "lr"}
+                                "grad_norm", "steps", "val_loss", "lr"}
             assert all(math.isfinite(v) for v in row.values())
+            assert row["grad_norm"] > 0.0
+            assert 1 <= row["steps"] <= min(n_subjects, -(-len(fold.train) // 32))
         lrs = [r["lr"] for r in res.history]
         assert all(b <= a for a, b in zip(lrs, lrs[1:]))
 
@@ -338,9 +342,11 @@ class TestTrainLoop:
         assert len(k_grads) > 0
         assert all(g is None for g in k_grads)
 
-    @pytest.mark.parametrize("mode,nodes", [("joint", 228), ("alternating", 220)])
+    @pytest.mark.parametrize("mode,nodes", [("joint", 231), ("alternating", 223)],
+                             ids=["joint", "alternating"])
     def test_desk_step_tape_node_count(self, monkeypatch, mode, nodes):
-        # each dense block and R_spec's power iteration are one node apiece
+        # each dense block and R_spec's power iteration are one node apiece;
+        # the latent pass gathers the windows' visits, keys and values
         table = small_cohort(seed=3)
         fold = materialize_fold(table, table.unique_subjects()[:6], seed=3)
         model = NkmModel(ArchConfig(d_z=16, n_heads=4, dropout=0.05), seed=6)
@@ -361,6 +367,35 @@ class TestTrainLoop:
         train(model, fold.train, fold.val, fast_optim(epochs=1, batch_size=64),
               LossConfig(), mode=mode, seed=7)
         assert counts and set(counts) == {nodes}
+
+    def test_step_encodes_each_visit_of_its_subjects_once(self, monkeypatch):
+        # 18 train subjects of 5 visits give 2 windows each: a batch of at
+        # least 8 windows closes at 4 subjects, whose visits 0-3 are inputs
+        table = small_cohort(seed=5)
+        fold = materialize_fold(table, table.unique_subjects()[:6], seed=5)
+        model = NkmModel(tiny_arch(dropout=0.1), seed=8)
+        encoded = []
+        encode = model.encode_rows
+
+        def spy(x, train=False, rng=None):
+            if train:
+                encoded.append(np.array(x))
+            return encode(x, train, rng)
+
+        monkeypatch.setattr(model, "encode_rows", spy)
+        train(model, fold.train, fold.val, fast_optim(epochs=1, batch_size=8),
+              LossConfig(), seed=3)
+        first = subject_batches(fold.train.subjects, 8,
+                                np.random.default_rng(3))[0]
+        batch = {fold.train.subjects[i] for i in first}
+        assert len(batch) == 4
+        last = {s: fold.table.visits[[t == s for t in fold.table.subject_ids]].max()
+                for s in batch}
+        want = [fold.table.X[i] for i, s in enumerate(fold.table.subject_ids)
+                if s in batch and fold.table.visits[i] < last[s]]
+        got = encoded[0]
+        assert len(got) == len(want) == 16
+        assert {r.tobytes() for r in got} == {r.tobytes() for r in want}
 
     def test_alternating_mode_restores_k_requires_grad(self):
         table = small_cohort(seed=4)
