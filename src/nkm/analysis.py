@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -188,6 +189,13 @@ def verify_descent(model: NkmModel, windows: Windows,
     if the composite loss does not increase; on violation the step is halved
     and retried (when backtracking is on). The huge-step no-backtracking
     variant is the negative control and is expected to fail."""
+    if (isinstance(iters, bool) or not isinstance(iters, numbers.Integral)
+            or iters < 1):
+        raise ValueError(f"iters must be an integer >= 1, got {iters!r}")
+    for name, step in (("theta_step", theta_step), ("k_step", k_step)):
+        if not (isinstance(step, numbers.Real) and math.isfinite(step)
+                and step > 0):
+            raise ValueError(f"{name} must be a finite number > 0, got {step!r}")
     if not len(windows):
         raise ValueError("verify_descent needs at least one window")
     loss_cfg = loss_cfg if loss_cfg is not None else LossConfig()
@@ -384,10 +392,12 @@ def feature_importance(table: VisitTable, runs: int = 50, seed: int = 0,
         if train_models:
             train(model, fold.train, fold.val, optim_cfg, loss_cfg, seed=rs)
 
+        # `predict` is this forward with no tape, so the baseline and the
+        # permuted predictions come from one path
         with no_grad():
-            beta_sum += model.forward(fold.test.X).beta.mean(axis=0)
-        # the baseline comes from the same path as the permuted predictions
-        base_r = evaluate_predictions(fold.test.y, model.predict(fold.test.X),
+            base = model.forward(fold.test.X)
+        beta_sum += base.beta.mean(axis=0)
+        base_r = evaluate_predictions(fold.test.y, base.pred.data,
                                       targets).pearson
 
         rng = np.random.default_rng(rs)

@@ -206,7 +206,10 @@ def write_effective_config(cfg: dict, out_dir: Path) -> None:
 # ---- typed views over the flat table ---------------------------------------
 
 def arch_from_config(cfg: dict) -> ArchConfig:
-    base = full_arch() if cfg.get("model.scale") == "full" else ArchConfig()
+    scale = cfg.get("model.scale", "desk")
+    if scale not in ("desk", "full"):
+        raise ValueError(f"model.scale must be 'desk' or 'full', got {scale!r}")
+    base = full_arch() if scale == "full" else ArchConfig()
     kw = {}
     for field in ("d_z", "n_heads", "dropout", "n_refine_blocks",
                   "n_decoder_blocks", "sigma_init", "rho_init"):

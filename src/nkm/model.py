@@ -12,14 +12,15 @@ and V projection each), c_feat over the G group embeddings, both in `_attend`.
 `forward` (training and the loss) and `latents` (every consumer that needs
 no loss) run one latent pass: it encodes and refines each distinct visit of
 the windows once, with one dropout mask per visit in training, projects the
-attention keys and values once per distinct visit, and gathers the windows
+temporal keys and values once per distinct visit, and gathers the windows
 visit-major (row t*B + b is visit t of window b) with `take_rows`, whose
 backward adds up the gradients of a visit that several windows share.
+Queries, the gate and the feature attention run per window.
 `forward` runs the pass on the tape and decodes K z_last + c; diagnostics
-(attention weights, gate) are detached copies. `latents` runs it without a
-tape and stops before the decoder: `predict` decodes K z_last + c from it,
-and the bound harness, latent rollouts and `verify_descent`'s covariances
-read z and c from it directly.
+(attention weights, gate) are detached copies. `predict` is `forward` with
+no tape. `latents` runs the pass without a tape and stops before the
+decoder: the bound harness, latent rollouts and `verify_descent`'s
+covariances read z and c from it.
 """
 from __future__ import annotations
 
@@ -209,11 +210,6 @@ def window_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct.view(np.float64).reshape(-1, f), inverse.reshape(B, w)
 
 
-def _pick(t: Tensor, rows: np.ndarray | None) -> Tensor:
-    """t, or its rows `rows` (`take_rows`) when given."""
-    return t if rows is None else take_rows(t, rows)
-
-
 class NkmModel:
     """Holds parameters and runs the forward pass. Seeded construction."""
 
@@ -351,78 +347,67 @@ class NkmModel:
         return (reshape(ctx, (B, heads * e)),
                 weights.data[..., 0].transpose(1, 2, 0).copy())
 
-    def temporal_context(self, z: Tensor, z_last: Tensor,
-                         rows: np.ndarray | None = None,
-                         last: np.ndarray | None = None
+    def temporal_context(self, z: Tensor, z_last: Tensor, rows: np.ndarray
                          ) -> tuple[Tensor, np.ndarray]:
         """Attention of each window's final state over its w refined states.
 
-        z holds the states as visit-major rows, or, with `rows` given, each
-        distinct state once and rows (w*B,) picks them visit-major. z_last
-        holds the queries, one per window, or, with `last` given, one per
-        distinct final visit and last (B,) picks each window's. Projections
-        run on the rows as given, before the pick.
+        z holds each distinct state once and rows (w*B,) picks them
+        visit-major; z_last holds the queries, one per window. Keys and
+        values are projected once per row of z, before the pick.
 
         Returns (c_time, alpha) with alpha of shape (B, n_heads, w).
         """
         a = self.arch
-        B = len(z_last.data) if last is None else len(last)
-        w = (len(z.data) if rows is None else len(rows)) // B
+        B = len(z_last.data)
+        w = len(rows) // B
         if self.ablation.no_temporal_attention:
-            c = tmean(reshape(_pick(z, rows), (w, B, a.d_z)), axis=0)
+            c = tmean(reshape(take_rows(z, rows), (w, B, a.d_z)), axis=0)
             return c, np.full((B, a.n_heads, w), 1.0 / w)
 
         p = self.params
-        q = _pick(matmul(z_last, p["attn_t.q.W"]), last)
-        keys = _pick(matmul(z, p["attn_t.k.W"]), rows)
-        vals = _pick(matmul(z, p["attn_t.v.W"]), rows)
+        q = matmul(z_last, p["attn_t.q.W"])
+        keys = take_rows(matmul(z, p["attn_t.k.W"]), rows)
+        vals = take_rows(matmul(z, p["attn_t.v.W"]), rows)
         ctx, alpha = self._attend(q, keys, vals, w, a.n_heads)
         return matmul(ctx, p["attn_t.out.W"]), alpha
 
-    def feature_context(self, z_last: Tensor, embeds: dict[str, Tensor],
-                        last: np.ndarray | None = None
+    def feature_context(self, z_last: Tensor, embeds: dict[str, Tensor]
                         ) -> tuple[Tensor, np.ndarray]:
         """Attention of each window's final state over the group embeddings
-        of its final visit.
-
-        z_last and embeds hold one row per window, or, with `last` given,
-        one per distinct final visit and last (B,) picks each window's.
-        Projections run on the rows as given, before the pick.
+        of its final visit; z_last and embeds hold one row per window.
 
         Returns (c_feat, beta) with beta of shape (B, n_groups).
         """
         groups = self.arch.groups
         G = len(groups)
-        n = len(z_last.data)
-        B = n if last is None else len(last)
-        # candidate-major: group i of window b is row i*n + last[b]
-        cand = None if last is None else (np.arange(G)[:, None] * n + last).ravel()
-        vals = _pick(concat([matmul(embeds[g], self.params[f"attn_f.val.{g}.W"])
-                             for g in groups], axis=0), cand)
+        B = len(z_last.data)
+        vals = concat([matmul(embeds[g], self.params[f"attn_f.val.{g}.W"])
+                       for g in groups], axis=0)
         if self.ablation.no_feature_attention:
             c = tmean(reshape(vals, (G, B, self.arch.d_z)), axis=0)
             return c, np.full((B, G), 1.0 / G)
-        q = _pick(matmul(z_last, self.params["attn_f.q.W"]), last)
-        keys = _pick(concat([matmul(embeds[g], self.params[f"attn_f.key.{g}.W"])
-                             for g in groups], axis=0), cand)
+        q = matmul(z_last, self.params["attn_f.q.W"])
+        keys = concat([matmul(embeds[g], self.params[f"attn_f.key.{g}.W"])
+                       for g in groups], axis=0)
         c, beta = self._attend(q, keys, vals, G, 1)
         return c, beta[:, 0, :]
 
     def control(self, z: Tensor, z_last: Tensor, embeds_last: dict[str, Tensor],
-                rows: np.ndarray | None = None, last: np.ndarray | None = None
+                rows: np.ndarray
                 ) -> tuple[Tensor, np.ndarray, np.ndarray, np.ndarray]:
         """Gated mix of temporal and feature contexts; (c, alpha, beta, gate).
-        rows and last are as in `temporal_context` and `feature_context`."""
-        B = len(z_last.data) if last is None else len(last)
+        z and rows are as in `temporal_context`, z_last and embeds_last as in
+        `feature_context`."""
+        B = len(z_last.data)
         a = self.arch
         if self.ablation.no_control:
             zero = Tensor(np.zeros((B, a.d_z)))
             return (zero, np.full((B, a.n_heads, a.window), 1.0 / a.window),
                     np.full((B, len(a.groups)), 1.0 / len(a.groups)),
                     np.full((B, a.d_z), 0.5))
-        c_time, alpha = self.temporal_context(z, z_last, rows, last)
-        c_feat, beta = self.feature_context(z_last, embeds_last, last)
-        gin = concat([_pick(z_last, last), c_time], axis=1)
+        c_time, alpha = self.temporal_context(z, z_last, rows)
+        c_feat, beta = self.feature_context(z_last, embeds_last)
+        gin = concat([z_last, c_time], axis=1)
         gate = sigmoid(add(matmul(gin, self.params["gate.W"]), self.params["gate.b"]))
         ones = Tensor(np.ones_like(gate.data))
         c = add(mul(gate, c_feat), mul(sub(ones, gate), c_time))
@@ -455,27 +440,23 @@ class NkmModel:
         matrix `visits`, on the tape unless recording is off.
 
         Every visit that some window uses is encoded and refined once, with
-        its own dropout mask in training; the attention projects keys and
-        values once per such visit, and queries and feature candidates once
-        per distinct final visit. Returns (z, z_last, c, alpha, beta, gate)
-        as in `ForwardOut`.
+        its own dropout mask in training, and the temporal attention
+        projects its keys and values once; the queries and the feature
+        attention run per window.
+        Returns (z, z_last, c, alpha, beta, gate) as in `ForwardOut`.
         """
         n, w = rows.shape
-        used = np.zeros(len(visits), dtype=bool)
-        used[rows] = True
-        # position of each used visit among the used ones, in visit order
-        gather = (np.cumsum(used) - 1)[rows.T].ravel()      # visit-major
+        # the used visits in visit order, and each one's position among
+        # them, visit-major
+        used, gather = np.unique(rows.T.ravel(), return_inverse=True)
         final = gather[(w - 1) * n:]
-        lasts, last = np.unique(final, return_inverse=True)
-        if len(lasts) == n:         # no two windows end at the same visit
-            lasts, last = final, None
         z_enc, embeds = self.encode_rows(visits[used], train=train, rng=rng)
         z = self.refine(z_enc, train=train, rng=rng)
-        z_lasts = take_rows(z, lasts)
+        z_last = take_rows(z, final)
         c, alpha, beta, gate = self.control(
-            z, z_lasts, {g: take_rows(h, lasts) for g, h in embeds.items()},
-            rows=gather, last=last)
-        return take_rows(z, gather), _pick(z_lasts, last), c, alpha, beta, gate
+            z, z_last, {g: take_rows(h, final) for g, h in embeds.items()},
+            gather)
+        return take_rows(z, gather), z_last, c, alpha, beta, gate
 
     def forward(self, X: np.ndarray, train: bool = False,
                 rng: np.random.Generator | None = None) -> ForwardOut:
@@ -491,15 +472,13 @@ class NkmModel:
         return ForwardOut(pred, c, z_next, z, z_last, alpha, beta, gate)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Eval-mode predictions (B, 3) of windows (B, w, 44): decode
-        K z_last + c from the latent pass; builds no tape. Equals
-        `forward(X).pred` byte for byte, as both run the same operations."""
+        """Eval-mode predictions (B, 3) of windows (B, w, 44):
+        `forward(X).pred` with no tape."""
         X = self._check_windows(X)
         if not len(X):
             return np.zeros((0, schema.N_TARGETS))
-        _, z_last, c = self.latents(*window_rows(X))
         with no_grad():
-            return self.decode(self.koopman_step(Tensor(z_last), Tensor(c))).data
+            return self.forward(X).pred.data
 
     def latents(self, visits: np.ndarray, rows: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

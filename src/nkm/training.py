@@ -429,8 +429,14 @@ def run_edmd_cv(table: VisitTable, edmd_cfg: EdmdConfig | None = None, k: int = 
 def run_ablation(table: VisitTable, setups: list[str] | None = None,
                  **cv_kwargs) -> list[CvResult]:
     """One CvResult per setup, same folds and seeds across setups. Every
-    keyword argument is passed through to run_cv."""
+    keyword argument is passed through to run_cv. The setups are checked
+    before any is run: at least one, each named once."""
     setups = list(ABLATION_SETUPS) if setups is None else list(setups)
-    return [run_cv(table, ablation=AblationFlags.from_name(name),
-                   setup_name=name, **cv_kwargs)
-            for name in setups]
+    if not setups:
+        raise ValueError("setups must name at least one setup")
+    for name in setups:
+        if setups.count(name) > 1:
+            raise ValueError(f"setups name {name!r} more than once")
+    flags = [AblationFlags.from_name(name) for name in setups]
+    return [run_cv(table, ablation=f, setup_name=name, **cv_kwargs)
+            for name, f in zip(setups, flags)]

@@ -300,6 +300,20 @@ class TestVerifyDescent:
         verify_descent(model, windows, LossConfig(rho=0.9), iters=5)
         assert np.linalg.svd(model.K.data, compute_uv=False)[0] <= 0.9 + 1e-8
 
+    @pytest.mark.parametrize("kw,name", [
+        ({"iters": 0}, "iters"), ({"iters": -3}, "iters"),
+        ({"theta_step": -1.0}, "theta_step"), ({"theta_step": 0.0}, "theta_step"),
+        ({"theta_step": math.nan}, "theta_step"),
+        ({"theta_step": math.inf}, "theta_step"),
+        ({"k_step": 0.0}, "k_step"), ({"k_step": -0.5}, "k_step"),
+        ({"k_step": math.nan}, "k_step")])
+    def test_refuses_vacuous_settings(self, kw, name):
+        # theta_step=-1 rejected every step and k_step=0 never moved K, and
+        # both reported a pass; iters=-3 reported a failed run
+        windows = self.make_windows(4)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            verify_descent(NkmModel(tiny_arch(), seed=5), windows, **kw)
+
     def test_no_windows_rejected(self):
         # an empty batch died with a ZeroDivisionError in composite_loss
         windows = self.make_windows(4)
@@ -382,10 +396,10 @@ class TestFeatureImportance:
     def test_constant_column_has_exactly_zero_importance_at_full_arch(self):
         # Shuffling a column that is constant across the test windows leaves
         # them byte for byte as they were, so the permuted r must equal the
-        # baseline r exactly: both come from `predict`. `forward` encodes
-        # every visit of every window; at full_arch and 200 test windows
-        # (600 visit rows, 280 distinct) the changed row count moves its
-        # predictions in the last bits.
+        # baseline r exactly: the baseline `forward` and the permuted
+        # `predict` calls run one path. At full_arch and 200 test windows
+        # (600 visit rows, 280 distinct) BLAS rounding of another row count
+        # would show in the last bits.
         table = long_cohort(seed=13, n_subjects=200, visits=8)
         f_idx = FEATURE_COLUMNS.index("CSF_TAU")
         table.X[:, f_idx] = 0.25
@@ -393,6 +407,39 @@ class TestFeatureImportance:
                                     train_models=False)
         for t in report.per_target:
             assert report.per_target[t][f_idx] == 0.0
+
+    def test_one_forward_then_one_predict_per_feature(self):
+        # the baseline came from a forward plus a predict on the same windows
+        table = long_cohort(seed=10, n_subjects=12, visits=5)
+        calls = []
+
+        def factory(run_seed):
+            model = NkmModel(tiny_arch(), seed=run_seed)
+            forward, predict = model.forward, model.predict
+            inside = []
+
+            def spy_forward(*args, **kwargs):
+                if not inside:
+                    calls.append(("forward", run_seed))
+                return forward(*args, **kwargs)
+
+            def spy_predict(*args, **kwargs):
+                calls.append(("predict", run_seed))
+                inside.append(True)
+                try:
+                    return predict(*args, **kwargs)
+                finally:
+                    inside.pop()
+
+            model.forward, model.predict = spy_forward, spy_predict
+            return model
+
+        feature_importance(table, runs=2, seed=1, arch=tiny_arch(),
+                           model_factory=factory, train_models=False)
+        n_f = len(FEATURE_COLUMNS)
+        for rs in (1, 2):
+            mine = [name for name, s in calls if s == rs]
+            assert mine == ["forward"] + ["predict"] * n_f
 
     def test_report_structure(self):
         table = long_cohort(seed=10, n_subjects=12, visits=5)

@@ -75,6 +75,16 @@ class TestExitCodes:
         assert rc == 1
         assert f"nkm: {key.split('.')[1]}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["huge", "FULL"])
+    def test_unknown_model_scale(self, tmp_path, capsys, value):
+        # anything but "full" trained the desk model and exited 0
+        rc, out = run(tmp_path, "o", "train", *TINY, "--set",
+                      f"model.scale={value}")
+        assert rc == 1
+        assert (f"nkm: model.scale must be 'desk' or 'full', got {value!r}"
+                in capsys.readouterr().err)
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("key,value", [
         ("data.noise_sd", "-1"), ("data.noise_sd", "NaN"),
         ("data.drift_sd", "-0.1"), ("data.target_noise_sd", "inf"),
@@ -297,6 +307,19 @@ class TestCvAndAblate:
         assert capsys.readouterr().out.count("r=") == 2
 
 
+    @pytest.mark.parametrize("setups,message", [
+        ('["full","full"]', "setups name 'full' more than once"),
+        ("[]", "setups must name at least one setup")])
+    def test_ablate_refuses_repeated_or_no_setups(self, tmp_path, capsys,
+                                                  setups, message):
+        # ["full","full"] exited 0 with one summary in report.json and both
+        # runs under the same keys in metrics.csv; [] wrote an empty report
+        rc, out = run(tmp_path, "a", "ablate", *TINY, "--set", "cv.k=3",
+                      "--set", f"ablate.setups={setups}")
+        assert rc == 1
+        assert f"nkm: {message}" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
 class TestEdmdCommand:
     def test_edmd_cv(self, tmp_path, capsys):
         rc, out = run(tmp_path, "d", "edmd", "--seed", "1",
@@ -384,6 +407,20 @@ class TestVerifyCommands:
                     "--set", f"descent.n_windows={n_windows}")
         assert rc == 1
         assert "at least one window" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("descent.theta_step", "-1"), ("descent.theta_step", "0"),
+        ("descent.k_step", "0"), ("descent.k_step", "-0.5"),
+        ("descent.iters", "-3"), ("descent.iters", "0")])
+    def test_descent_refuses_vacuous_settings(self, tmp_path, capsys, key,
+                                              value):
+        # theta_step=-1 and k_step=0 printed PASS with the parameters never
+        # moving; iters=-3 printed "FAIL (-3 iterations ...)"
+        rc, out = run(tmp_path, "vd", "verify-descent", *TINY[:8],
+                      "--set", f"{key}={value}")
+        assert rc == 1
+        assert f"nkm: {key.split('.')[1]} must be" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_descent_with_negative_control(self, tmp_path, capsys):
         rc, out = run(tmp_path, "vd", "verify-descent", "--seed", "0",

@@ -461,6 +461,23 @@ class TestCrossValidation:
         for r in out:
             assert len(r.folds) == 3
 
+    @pytest.mark.parametrize("setups,message", [
+        (["full", "full"], "setups name 'full' more than once"),
+        (["no_control", "full", "no_control"],
+         "setups name 'no_control' more than once"),
+        ([], "setups must name at least one setup"),
+        (["full", "nope"], "unknown ablation setup 'nope'")])
+    def test_run_ablation_refuses_bad_setups_before_training(
+            self, monkeypatch, setups, message):
+        # a repeated setup wrote two runs under one key, and an empty list an
+        # empty report; an unknown name was refused only after the setups
+        # before it had trained
+        import nkm.training as training
+        monkeypatch.setattr(training, "run_cv", lambda *a, **kw:
+                            pytest.fail("trained before refusing the setups"))
+        with pytest.raises(ValueError, match=f"^{message}"):
+            run_ablation(small_cohort(seed=8, n_subjects=18), setups=setups)
+
     def test_run_edmd_cv_imputes_each_fold_once(self, monkeypatch):
         # EDMD fits on the fold's imputed table; it transformed its
         # train+val rows a second time
