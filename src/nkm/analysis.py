@@ -138,12 +138,9 @@ def verify_bound(model: NkmModel | EdmdModel, table: VisitTable,
                          f"{tau_max + 1} lifted states; longest is {longest}")
     Z, C = _bound_states(model, table, rows)
 
-    # the tau = 1 rollout below repeats these operations, so empirical[0] == eps
-    k = np.flatnonzero(seq[1:] == seq[:-1])
-    eps = measure_eps(Z[k], Z[k + 1], K, None if C is None else C[k])
-
     # pred[k] is state k advanced tau steps, for every k with k + tau in the
-    # same subject; those k shrink as tau grows
+    # same subject; those k shrink as tau grows. The tau = 1 step is the
+    # one-step residual, so empirical[0] is eps_t.
     pred = Z.copy()
     empirical = []
     for tau in range(1, tau_max + 1):
@@ -155,6 +152,7 @@ def verify_bound(model: NkmModel | EdmdModel, table: VisitTable,
         err = Z[k + tau] - step
         empirical.append(float(np.max(np.sqrt(np.sum(err * err, axis=1)))))
 
+    eps = empirical[0]
     taus = list(range(1, tau_max + 1))
     bounds = [geometric_bound(eps, norm_k, t) for t in taus]
     passed = all(e <= b for e, b in zip(empirical, bounds))
@@ -243,7 +241,9 @@ def verify_descent(model: NkmModel, windows: Windows,
         if not accepted:
             for n in grads:
                 model.params[n].data[...] = saved[n]
-        after_theta = loss_value()
+        # the loss at the parameters now held: the accepted probe's, or the
+        # loss the trace already records for the restored ones
+        after_theta = new if accepted else trace[-1]
         if after_theta > cur:
             th_viol += 1
 
@@ -268,7 +268,7 @@ def verify_descent(model: NkmModel, windows: Windows,
             k_step *= 0.5
         if not accepted:
             model.K.data[...] = k_saved
-        final = loss_value()
+        final = new if accepted else after_theta
         if final > after_theta:
             k_viol += 1
         trace.append(final)

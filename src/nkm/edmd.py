@@ -9,6 +9,7 @@ advances tau steps, and applies the readout.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,10 @@ class EdmdConfig:
     def __post_init__(self):
         if self.n_centers < 0:
             raise ValueError("n_centers must be >= 0")
+        for name in ("alpha", "readout_alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, "
+                                 f"got {getattr(self, name)!r}")
         if self.alpha < 0 or self.readout_alpha < 0:
             raise ValueError("ridge strengths must be >= 0")
         if self.n_centers == 0 and not (self.include_identity

@@ -1,6 +1,10 @@
-"""Parameter store, AdamW, gradient clipping, plateau scheduler, early stopping."""
+"""Parameter store, AdamW, gradient clipping, and the optimizer settings.
+
+`OptimConfig` also holds the plateau decay and early-stop settings; `train`
+applies them from its own best-epoch record."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,6 +174,12 @@ class OptimConfig:
     early_stop_patience: int = 20
 
     def __post_init__(self):
+        for name in ("lr", "eps", "weight_decay", "clip_norm", "batch_size",
+                     "epochs", "plateau_factor", "plateau_patience",
+                     "early_stop_patience"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, "
+                                 f"got {getattr(self, name)!r}")
         if not (0.0 < self.lr):
             raise ValueError("lr must be positive")
         b1, b2 = self.betas
@@ -268,44 +278,3 @@ class AdamW:
                 a /= b
                 p *= decay
                 p -= a
-
-
-class PlateauScheduler:
-    """Halve (by `factor`) the optimizer lr when the watched value stalls."""
-
-    def __init__(self, opt: AdamW, factor: float = 0.5, patience: int = 8):
-        self.opt = opt
-        self.factor = factor
-        self.patience = patience
-        self.best = np.inf
-        self.stale = 0
-
-    def step(self, value: float) -> None:
-        if value < self.best:
-            self.best = value
-            self.stale = 0
-        else:
-            self.stale += 1
-            if self.stale > self.patience:
-                self.opt.lr *= self.factor
-                self.stale = 0
-
-
-class EarlyStopper:
-    """Stop after `patience` epochs without a new best value."""
-
-    def __init__(self, patience: int = 20):
-        self.patience = patience
-        self.best = np.inf
-        self.best_epoch = -1
-        self.stale = 0
-
-    def update(self, epoch: int, value: float) -> bool:
-        """Record an epoch value; returns True when training should stop."""
-        if value < self.best:
-            self.best = value
-            self.best_epoch = epoch
-            self.stale = 0
-            return False
-        self.stale += 1
-        return self.stale >= self.patience

@@ -15,6 +15,10 @@ Loss per batch of windows:
 Two modes: "joint" puts every parameter under AdamW; "alternating" runs the
 AdamW step on everything except K, then moves K along the closed-form
 covariance gradient of lambda * L_koop and projects it to ||K||_2 <= rho.
+
+`train` selects on validation loss with one best-epoch record: the
+epochs since the best one decide the plateau lr decay and the early stop,
+and the best epoch's parameters are restored at the end.
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ from .edmd import EdmdConfig, EdmdModel
 from .linalg import pinv, spectral_norm_differentiable
 from .model import (ABLATION_SETUPS, AblationFlags, ArchConfig, NkmModel,
                     transition_rows, window_rows)
-from .optim import AdamW, EarlyStopper, OptimConfig, PlateauScheduler, clip_global_norm
+from .optim import AdamW, OptimConfig, clip_global_norm
 from .tensor import (Tensor, add, matmul, mul, no_grad, relu, reshape, square,
                      sub, take_rows, transpose, tsum)
 
@@ -41,6 +45,10 @@ class LossConfig:
     rho: float = 0.95
 
     def __post_init__(self):
+        for name in ("lambda_koop", "eta", "rho"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, "
+                                 f"got {getattr(self, name)!r}")
         if self.lambda_koop < 0 or self.eta < 0:
             raise ValueError("lambda_koop and eta must be >= 0")
         if not (0.0 < self.rho):
@@ -183,10 +191,14 @@ def train(model: NkmModel, train_windows: Windows, val_windows: Windows,
           optim_cfg: OptimConfig | None = None, loss_cfg: LossConfig | None = None,
           mode: str = "joint", seed: int = 0, project_final: bool = True
           ) -> TrainResult:
-    """Minibatch training over `subject_batches` with plateau lr decay,
-    early stopping, and best-validation parameter restore. Each history
-    record holds the epoch's mean loss parts and pre-clip gradient norm over
-    its steps, the step count, the validation loss and the lr.
+    """Minibatch training over `subject_batches`, selected on validation
+    loss. One record, the best epoch so far (a strictly lower loss), drives
+    three things: its parameters are restored at the end; the lr is
+    multiplied by plateau_factor at every (plateau_patience + 1)-th epoch
+    since it; and training stops at the early_stop_patience-th epoch since
+    it (the first, when that is 0). Each history record holds the epoch's
+    mean loss parts and pre-clip gradient norm over its steps, the step
+    count, the validation loss and the lr the epoch ran with.
     Deterministic given (seed, data)."""
     if mode not in ("joint", "alternating"):
         raise ValueError("mode must be 'joint' or 'alternating'")
@@ -198,8 +210,6 @@ def train(model: NkmModel, train_windows: Windows, val_windows: Windows,
     loss_cfg = loss_cfg if loss_cfg is not None else LossConfig()
 
     opt = AdamW(model.params, optim_cfg)
-    sched = PlateauScheduler(opt, optim_cfg.plateau_factor, optim_cfg.plateau_patience)
-    stopper = EarlyStopper(optim_cfg.early_stop_patience)
     rng = np.random.default_rng(seed)
     history: list[dict] = []
     best_params = model.params.copy_values()
@@ -246,8 +256,10 @@ def train(model: NkmModel, train_windows: Windows, val_windows: Windows,
                 best_val = val
                 best_epoch = epoch
                 best_params = model.params.copy_values()
-            sched.step(val)
-            if stopper.update(epoch, val):
+            stale = epoch - best_epoch          # epochs since the best one
+            if stale > 0 and stale % (optim_cfg.plateau_patience + 1) == 0:
+                opt.lr *= optim_cfg.plateau_factor
+            if stale >= max(1, optim_cfg.early_stop_patience):
                 break
     finally:
         model.K.requires_grad = k_requires_grad

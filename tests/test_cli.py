@@ -57,12 +57,27 @@ class TestExitCodes:
     @pytest.mark.parametrize("key,value", [
         ("optim.clip_norm", "-1"), ("optim.clip_norm", "0"),
         ("optim.weight_decay", "-0.1"), ("optim.plateau_factor", "1.5"),
-        ("optim.plateau_patience", "-1"), ("optim.early_stop_patience", "-2")])
+        ("optim.plateau_patience", "-1"), ("optim.early_stop_patience", "-2"),
+        ("optim.lr", "Infinity"), ("optim.weight_decay", "Infinity")])
     def test_optimizer_values_that_break_training(self, tmp_path, capsys, key, value):
-        # a negative clip_norm flipped every gradient and still exited 0
-        rc, _ = run(tmp_path, "o", "train", *TINY, "--set", f"{key}={value}")
+        # a negative clip_norm flipped every gradient and still exited 0;
+        # lr=Infinity died in epoch 1 on a "non-finite L_pred"
+        rc, out = run(tmp_path, "o", "train", *TINY, "--set", f"{key}={value}")
         assert rc == 1
         assert f"nkm: {key.split('.')[1]}" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("loss.eta", "NaN"), ("loss.rho", "Infinity"),
+        ("loss.lambda_koop", "NaN")])
+    def test_loss_values_that_are_not_finite(self, tmp_path, capsys, key, value):
+        # eta=NaN exited 0 with R_spec off, rho=Infinity with the hinge and
+        # the projection off
+        rc, out = run(tmp_path, "o", "train", *TINY, "--set", f"{key}={value}")
+        assert rc == 1
+        assert (f"nkm: {key.split('.')[1]} must be a finite"
+                in capsys.readouterr().err)
+        assert not (out / "model.json").exists()
 
     @pytest.mark.parametrize("key,value", [
         ("model.rho_init", "-1"), ("model.rho_init", "0"),
@@ -354,6 +369,20 @@ class TestEdmdCommand:
         assert rc == 0
         assert json.loads((out / "report.json").read_text())["folds"] == 2
         capsys.readouterr()
+
+
+    @pytest.mark.parametrize("key,value", [
+        ("edmd.alpha", "NaN"), ("edmd.alpha", "Infinity"),
+        ("edmd.readout_alpha", "NaN")])
+    def test_non_finite_ridge_refused(self, tmp_path, capsys, key, value):
+        # alpha=NaN ran as alpha=0; alpha=Infinity and readout_alpha=NaN
+        # exited 0 with NaN metrics in report.json
+        rc, out = run(tmp_path, "d", "edmd", "--set", "data.n_subjects=10",
+                      "--set", "data.visits=5", "--set", "cv.k=2",
+                      "--set", "edmd.n_centers=4", "--set", f"{key}={value}")
+        assert rc == 1
+        assert f"nkm: {key.split('.')[1]} must be a finite" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
 
 class TestVerifyCommands:

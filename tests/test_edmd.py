@@ -156,6 +156,15 @@ class TestOperatorSolve:
         with pytest.raises(ValueError):
             fit_edmd(np.zeros((0, 2)), np.zeros((0, 2)))
 
+    @pytest.mark.parametrize("field,value", [
+        ("alpha", float("nan")), ("alpha", float("inf")),
+        ("readout_alpha", float("nan")), ("readout_alpha", float("inf"))])
+    def test_config_refuses_non_finite_ridges(self, field, value):
+        # alpha=nan ran as alpha=0 (nan > 0 is False); alpha=inf and
+        # readout_alpha=nan gave NaN forecasts
+        with pytest.raises(ValueError, match=f"^{field} must be a finite"):
+            EdmdConfig(**{field: value})
+
 
 class TestExactRecovery:
     def test_recovers_true_dynamics_block(self):

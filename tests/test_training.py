@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from nkm import training
 from nkm.data import Preprocessor, build_windows, materialize_fold
 from nkm.model import AblationFlags, ArchConfig, NkmModel
 from nkm.optim import OptimConfig
@@ -130,6 +131,18 @@ class TestCompositeLoss:
         y2[0, 0] = np.nan
         with pytest.raises(ValueError):
             composite_loss(model, X, y2, LossConfig())
+
+
+class TestLossConfig:
+    @pytest.mark.parametrize("field,value", [
+        ("eta", float("nan")), ("eta", float("inf")),
+        ("rho", float("inf")), ("rho", float("nan")),
+        ("lambda_koop", float("nan")), ("lambda_koop", float("inf"))])
+    def test_refuses_non_finite_values(self, field, value):
+        # eta=nan turned R_spec off (nan > 0 is False), rho=inf turned off
+        # the hinge and the projection, and lambda_koop=nan died in epoch 1
+        with pytest.raises(ValueError, match=f"^{field} must be a finite"):
+            LossConfig(**{field: value})
 
 
 class TestKoopmanClosedForm:
@@ -428,6 +441,64 @@ class TestTrainLoop:
         empty = build_windows(table.subset_subjects([]), w=3)
         with pytest.raises(ValueError):
             train(model, empty, fold.val)
+
+
+class TestSelection:
+    """One best-epoch record drives the lr decay, the early stop and the
+    restore. `_val_loss` is scripted, so each epoch's validation loss is
+    known; a lower value is a new best, an equal one is not."""
+
+    LR = 1e-3
+
+    def run(self, monkeypatch, vals, plateau_patience, early_stop_patience):
+        table = small_cohort(seed=7)
+        fold = materialize_fold(table, table.unique_subjects()[:6], seed=7)
+        script = iter(vals)
+        monkeypatch.setattr(training, "_val_loss", lambda *args: next(script))
+        res = train(NkmModel(tiny_arch(), seed=1), fold.train, fold.val,
+                    fast_optim(lr=self.LR, epochs=len(vals),
+                               plateau_patience=plateau_patience,
+                               early_stop_patience=early_stop_patience),
+                    LossConfig(), seed=2)
+        return [r["lr"] for r in res.history], res
+
+    def test_plateau_halves_after_patience_and_a_best_resets(self, monkeypatch):
+        # stale epochs 1-3 after epoch 0: the third exceeds patience 2 and
+        # halves the lr for the next epoch; the new best at epoch 4 restarts
+        # the count
+        vals = [1.0, 1.0, 1.0, 1.0, 0.5, 0.9, 0.9, 0.9, 0.9]
+        lrs, res = self.run(monkeypatch, vals, 2, 20)
+        assert lrs == [self.LR * f for f in (1, 1, 1, 1, .5, .5, .5, .5, .25)]
+        assert len(res.history) == len(vals)
+        assert (res.best_epoch, res.best_val) == (4, 0.5)
+
+    def test_stops_after_patience_stale_epochs(self, monkeypatch):
+        vals = [1.0, 0.9, 0.95, 0.95, 0.95, 0.1, 0.1]
+        lrs, res = self.run(monkeypatch, vals, 8, 3)
+        assert len(res.history) == 5            # the third stale epoch is the last
+        assert lrs == [self.LR] * 5
+        assert (res.best_epoch, res.best_val) == (1, 0.9)
+
+    def test_plateau_patience_zero_decays_every_stale_epoch(self, monkeypatch):
+        vals = [1.0, 1.0, 0.5, 0.7, 0.7, 0.4]
+        lrs, res = self.run(monkeypatch, vals, 0, 20)
+        assert lrs == [self.LR * f for f in (1, 1, .5, .5, .25, .125)]
+        assert (len(res.history), res.best_epoch) == (6, 5)
+
+    def test_early_stop_patience_zero_stops_at_the_first_stale_epoch(
+            self, monkeypatch):
+        vals = [1.0, 0.9, 0.9, 0.1]
+        lrs, res = self.run(monkeypatch, vals, 0, 0)
+        assert lrs == [self.LR] * 3
+        assert (len(res.history), res.best_epoch) == (3, 1)
+
+    def test_restores_the_best_epochs_parameters(self, monkeypatch):
+        # the parameters after epoch 1 of a 2-epoch run are those of best
+        # epoch 1 in a longer run that never improves on it
+        _, short = self.run(monkeypatch, [1.0, 0.5], 8, 20)
+        _, long = self.run(monkeypatch, [1.0, 0.5, 0.6, 0.6], 8, 20)
+        assert np.array_equal(short.model.params.to_vector(),
+                              long.model.params.to_vector())
 
 
 class TestCrossValidation:
