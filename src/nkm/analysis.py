@@ -366,11 +366,11 @@ def feature_importance(table: VisitTable, runs: int = 50, seed: int = 0,
                        optim_cfg: OptimConfig | None = None,
                        loss_cfg: LossConfig | None = None,
                        model_factory=None, train_models: bool = True,
-                       test_frac: float = 0.2, w: int = 3) -> ImportanceReport:
+                       test_frac: float = 0.2) -> ImportanceReport:
     """Permutation importance over reseeded train/eval runs. Each run holds
     out a fresh subject split, trains (unless train_models is off), then
     measures the Pearson-r drop from shuffling one feature column across the
-    test windows."""
+    test windows of arch.window visits."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
     check_fraction(test_frac, "test_frac")
@@ -386,7 +386,7 @@ def feature_importance(table: VisitTable, runs: int = 50, seed: int = 0,
         rs = seed + r
         _, test_subjects = train_val_split(table.unique_subjects(),
                                            val_frac=test_frac, seed=rs)
-        fold = materialize_fold(table, test_subjects, seed=rs, w=w)
+        fold = materialize_fold(table, test_subjects, seed=rs, w=arch.window)
         model = model_factory(rs) if model_factory is not None \
             else NkmModel(arch, seed=rs)
         if train_models:

@@ -23,16 +23,16 @@ from . import schema
 from .analysis import (export_latents, feature_importance, verify_bound,
                        verify_descent, write_latents_csv)
 from .config import (COMMAND_DEFAULTS, ConfigError, arch_from_config,
-                     build_config, edmd_from_config, load_config_file,
-                     loss_from_config, optim_from_config, parse_override,
-                     write_effective_config)
+                     build_config, from_config, load_config_file,
+                     parse_override, write_effective_config)
 from .data import (Preprocessor, Windows, build_windows, load_visits_csv,
                    materialize_fold, train_val_split, write_visits_csv)
-from .edmd import EdmdModel
+from .edmd import EdmdConfig, EdmdModel
 from .model import AblationFlags, NkmModel, load_checkpoint, save_checkpoint
+from .optim import OptimConfig
 from .synthetic import SyntheticConfig, generate_synthetic
-from .training import (CvResult, evaluate, run_ablation, run_cv, run_edmd_cv,
-                       train)
+from .training import (CvResult, LossConfig, evaluate, run_ablation, run_cv,
+                       run_edmd_cv, train)
 
 METRIC_COLUMNS = ["setup", "fold", "target", "pearson", "spearman", "mae",
                   "rmse"]
@@ -76,54 +76,48 @@ def _write_report(out_dir: Path, report: dict) -> None:
         json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
-def _synthetic_config(cfg: dict) -> SyntheticConfig:
-    return SyntheticConfig(
-        n_subjects=cfg["data.n_subjects"],
-        visits_per_subject=cfg["data.visits"],
-        latent_dim=cfg["data.latent_dim"],
-        noise_sd=cfg["data.noise_sd"],
-        missing_rate=cfg["data.missing_rate"],
-        drift_sd=cfg["data.drift_sd"],
-        base_drift_scale=cfg["data.base_drift_scale"],
-        observation=cfg["data.observation"],
-        target_noise_sd=cfg["data.target_noise_sd"],
-        observed_rank=cfg["data.observed_rank"])
-
-
-def _load_table(cfg: dict):
-    """(table, sidecar-or-None) from data.path or the synthesizer."""
+def _data_source(cfg: dict) -> Path | SyntheticConfig:
+    """The visits CSV at data.path, or else the checked config the cohort is
+    synthesized from. Handlers take it before any data work."""
     if cfg["data.path"]:
-        path = Path(cfg["data.path"])
-        if not path.exists():
-            raise FileNotFoundError(f"input data file not found: {path}")
-        return load_visits_csv(path), None
-    table, sidecar = generate_synthetic(_synthetic_config(cfg), cfg["seed"])
-    return table, sidecar
+        return Path(cfg["data.path"])
+    return from_config(SyntheticConfig, cfg, "data")
 
 
-def _fit_nkm(cfg: dict, table, test_subjects: list[str]):
-    """(fold, TrainResult): split off test_subjects, fit preprocessing on the
-    train split, and train one model on the remaining subjects."""
+def _load_table(source: Path | SyntheticConfig, seed: int):
+    """(table, sidecar-or-None) from a `_data_source`."""
+    if isinstance(source, SyntheticConfig):
+        return generate_synthetic(source, seed)
+    if not source.exists():
+        raise FileNotFoundError(f"input data file not found: {source}")
+    return load_visits_csv(source), None
+
+
+def _fit_nkm(cfg: dict, hold_out: bool):
+    """(fold, TrainResult): build the run's configs, load the table, hold out
+    a train.val_frac share of its subjects as the test split if hold_out,
+    fit preprocessing on the train split, and train one model on the rest."""
+    arch = arch_from_config(cfg)
+    ablation = AblationFlags.from_name(cfg["model.ablation"])
+    optim_cfg = from_config(OptimConfig, cfg, "optim")
+    loss_cfg = from_config(LossConfig, cfg, "loss")
+    table, _ = _load_table(_data_source(cfg), cfg["seed"])
+    test_subjects = []
+    if hold_out:
+        _, test_subjects = train_val_split(table.unique_subjects(),
+                                           cfg["train.val_frac"], cfg["seed"])
     fold = materialize_fold(table, test_subjects, seed=cfg["seed"],
-                            w=cfg["data.window"],
-                            val_frac=cfg["train.val_frac"])
-    model = NkmModel(arch_from_config(cfg), seed=cfg["seed"],
-                     ablation=AblationFlags.from_name(cfg["model.ablation"]))
-    result = train(model, fold.train, fold.val, optim_from_config(cfg),
-                   loss_from_config(cfg), mode=cfg["train.mode"],
-                   seed=cfg["seed"])
+                            w=arch.window, val_frac=cfg["train.val_frac"])
+    result = train(NkmModel(arch, seed=cfg["seed"], ablation=ablation),
+                   fold.train, fold.val, optim_cfg, loss_cfg,
+                   mode=cfg["train.mode"], seed=cfg["seed"])
     return fold, result
-
-
-def _held_out_subjects(cfg: dict, table) -> list[str]:
-    _, held_out = train_val_split(table.unique_subjects(),
-                                  cfg["train.val_frac"], cfg["seed"])
-    return held_out
 
 
 def _load_nkm(cfg: dict, prefix: str):
     """(model, manifest, windows): the checkpoint at `<prefix>.model` and the
     data table windowed through the preprocessor at `<prefix>.preprocessor`."""
+    source = _data_source(cfg)
     if not cfg[f"{prefix}.model"]:
         raise ValueError(f"{prefix}.model must point to a checkpoint stem")
     if not cfg[f"{prefix}.preprocessor"]:
@@ -138,17 +132,18 @@ def _load_nkm(cfg: dict, prefix: str):
                          f"arch.window={model.arch.window} of the checkpoint "
                          f"{cfg[f'{prefix}.model']}")
     pre = Preprocessor.load(pre_path)
-    table, _ = _load_table(cfg)
+    table, _ = _load_table(source, cfg["seed"])
     prepped = table.with_features(pre.transform(table.X))
     return model, manifest, build_windows(prepped, w=cfg["data.window"])
 
 
 def _cv_kwargs(cfg: dict) -> dict:
     """run_cv arguments shared by the cv and ablate commands."""
-    return {"arch": arch_from_config(cfg), "optim_cfg": optim_from_config(cfg),
-            "loss_cfg": loss_from_config(cfg), "k": cfg["cv.k"],
+    return {"arch": arch_from_config(cfg),
+            "optim_cfg": from_config(OptimConfig, cfg, "optim"),
+            "loss_cfg": from_config(LossConfig, cfg, "loss"), "k": cfg["cv.k"],
             "seed": cfg["seed"], "mode": cfg["train.mode"],
-            "w": cfg["data.window"], "val_frac": cfg["train.val_frac"]}
+            "val_frac": cfg["train.val_frac"]}
 
 
 def _cv_summary(res: CvResult) -> dict:
@@ -187,7 +182,8 @@ def _print_table_row(summary: dict) -> None:
 # ---- command handlers ------------------------------------------------------
 
 def _cmd_synth(cfg: dict, out_dir: Path) -> None:
-    table, sidecar = generate_synthetic(_synthetic_config(cfg), cfg["seed"])
+    table, sidecar = generate_synthetic(from_config(SyntheticConfig, cfg, "data"),
+                                        cfg["seed"])
     write_visits_csv(table, out_dir / "cohort.csv")
     (out_dir / "sidecar.json").write_text(
         json.dumps(sidecar, indent=2, sort_keys=True, default=str) + "\n")
@@ -201,8 +197,7 @@ def _cmd_synth(cfg: dict, out_dir: Path) -> None:
 
 
 def _cmd_train(cfg: dict, out_dir: Path) -> None:
-    table, _ = _load_table(cfg)
-    fold, result = _fit_nkm(cfg, table, [])
+    fold, result = _fit_nkm(cfg, hold_out=False)
     save_checkpoint(result.model, str(out_dir / "model"),
                     history=result.history)
     pre_file = "preprocessor.npz"
@@ -242,16 +237,18 @@ def _write_cv(res: CvResult, out_dir: Path, extra: dict | None = None) -> None:
 
 
 def _cmd_cv(cfg: dict, out_dir: Path) -> None:
-    table, _ = _load_table(cfg)
     name = cfg["model.ablation"]
-    _write_cv(run_cv(table, ablation=AblationFlags.from_name(name),
-                     setup_name=name, **_cv_kwargs(cfg)), out_dir)
+    ablation = AblationFlags.from_name(name)
+    kwargs = _cv_kwargs(cfg)
+    table, _ = _load_table(_data_source(cfg), cfg["seed"])
+    _write_cv(run_cv(table, ablation=ablation, setup_name=name, **kwargs),
+              out_dir)
 
 
 def _cmd_ablate(cfg: dict, out_dir: Path) -> None:
-    table, _ = _load_table(cfg)
-    results = run_ablation(table, setups=list(cfg["ablate.setups"]),
-                           **_cv_kwargs(cfg))
+    kwargs = _cv_kwargs(cfg)
+    table, _ = _load_table(_data_source(cfg), cfg["seed"])
+    results = run_ablation(table, setups=list(cfg["ablate.setups"]), **kwargs)
     rows = [r for res in results for r in res.rows()]
     _write_metrics_csv(out_dir / "metrics.csv", rows)
     summaries = {res.setup: _cv_summary(res) for res in results}
@@ -269,8 +266,9 @@ def _cmd_ablate(cfg: dict, out_dir: Path) -> None:
 
 
 def _cmd_edmd(cfg: dict, out_dir: Path) -> None:
-    table, _ = _load_table(cfg)
-    res = run_edmd_cv(table, edmd_from_config(cfg), k=cfg["cv.k"],
+    edmd_cfg = from_config(EdmdConfig, cfg, "edmd", seed=cfg["seed"])
+    table, _ = _load_table(_data_source(cfg), cfg["seed"])
+    res = run_edmd_cv(table, edmd_cfg, k=cfg["cv.k"],
                       seed=cfg["seed"], w=cfg["data.window"],
                       val_frac=cfg["train.val_frac"])
     # a rank below the lifted dimension means K is a minimum-norm solution
@@ -282,16 +280,17 @@ def _cmd_edmd(cfg: dict, out_dir: Path) -> None:
 
 
 def _cmd_verify_bound(cfg: dict, out_dir: Path) -> None:
-    table, _ = _load_table(cfg)
     tau_max = cfg["bound.tau_max"]
     if cfg["bound.source"] == "edmd":
+        edmd_cfg = from_config(EdmdConfig, cfg, "edmd", seed=cfg["seed"])
+        table, _ = _load_table(_data_source(cfg), cfg["seed"])
         # raw-table fit: standardization is a similarity transform that can
         # push the recovered operator norm past 1 on purely linear cohorts
-        model = EdmdModel(edmd_from_config(cfg)).fit(table)
+        model = EdmdModel(edmd_cfg).fit(table)
         report = verify_bound(model, table, tau_max=tau_max)
         meta = {"source": "edmd"}
     elif cfg["bound.source"] == "nkm":
-        fold, result = _fit_nkm(cfg, table, _held_out_subjects(cfg, table))
+        fold, result = _fit_nkm(cfg, hold_out=True)
         report = verify_bound(result.model,
                               fold.table.subset_subjects(fold.test_subjects),
                               tau_max=tau_max)
@@ -308,15 +307,15 @@ def _cmd_verify_bound(cfg: dict, out_dir: Path) -> None:
 def _cmd_verify_descent(cfg: dict, out_dir: Path) -> None:
     """Full-batch descent check. The Preprocessor is fitted on every row on
     purpose: the check runs on one fixed batch and scores nothing held out."""
-    table, _ = _load_table(cfg)
+    arch = arch_from_config(cfg)
+    loss_cfg = from_config(LossConfig, cfg, "loss")
+    table, _ = _load_table(_data_source(cfg), cfg["seed"])
     pre = Preprocessor().fit(table.X)
     prepped = table.with_features(pre.transform(table.X))
-    windows = build_windows(prepped, w=cfg["data.window"])
+    windows = build_windows(prepped, w=arch.window)
     n = max(0, min(cfg["descent.n_windows"], len(windows)))
     batch = Windows(windows.X[:n], windows.y[:n], windows.subjects[:n],
                     windows.starts[:n])
-    arch = arch_from_config(cfg)
-    loss_cfg = loss_from_config(cfg)
     main_report = verify_descent(NkmModel(arch, seed=cfg["seed"]), batch,
                                  loss_cfg, iters=cfg["descent.iters"],
                                  theta_step=cfg["descent.theta_step"],
@@ -337,14 +336,15 @@ def _cmd_verify_descent(cfg: dict, out_dir: Path) -> None:
 
 
 def _cmd_importance(cfg: dict, out_dir: Path) -> None:
-    table, _ = _load_table(cfg)
+    arch = arch_from_config(cfg)
+    optim_cfg = from_config(OptimConfig, cfg, "optim")
+    loss_cfg = from_config(LossConfig, cfg, "loss")
+    table, _ = _load_table(_data_source(cfg), cfg["seed"])
     report = feature_importance(table, runs=cfg["importance.runs"],
-                                seed=cfg["seed"], arch=arch_from_config(cfg),
-                                optim_cfg=optim_from_config(cfg),
-                                loss_cfg=loss_from_config(cfg),
+                                seed=cfg["seed"], arch=arch,
+                                optim_cfg=optim_cfg, loss_cfg=loss_cfg,
                                 train_models=cfg["importance.train"],
-                                test_frac=cfg["importance.test_frac"],
-                                w=cfg["data.window"])
+                                test_frac=cfg["importance.test_frac"])
     _write_report(out_dir, report.to_dict())
     with open(out_dir / "metrics.csv", "w", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -366,8 +366,7 @@ def _cmd_export_latents(cfg: dict, out_dir: Path) -> None:
         model, _, windows = _load_nkm(cfg, "export")
         rows = export_latents(model, windows, rollout_steps=steps)
     else:
-        table, _ = _load_table(cfg)
-        fold, result = _fit_nkm(cfg, table, _held_out_subjects(cfg, table))
+        fold, result = _fit_nkm(cfg, hold_out=True)
         rows = export_latents(result.model, fold.test,
                               train_windows=fold.train, rollout_steps=steps)
     write_latents_csv(out_dir / "latents.csv", rows)

@@ -7,15 +7,22 @@ possible, else kept as strings. Unknown keys are rejected so typos cannot
 silently fall back to defaults, and each command's table holds only keys
 that the command reads. A value must have the JSON type of its key's
 default, unless that default is None (see `_fits_default_type`).
+
+The optim.*, loss.*, edmd.* and synthetic data.* sections are derived from
+the fields of the dataclass each one builds, so a default is stated once,
+in its dataclass, and `from_config` builds the dataclass back from the
+table.
 """
 from __future__ import annotations
 
 import json
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .edmd import EdmdConfig
 from .model import ArchConfig, full_arch
 from .optim import OptimConfig
+from .synthetic import SyntheticConfig
 from .training import LossConfig
 
 
@@ -23,19 +30,26 @@ class ConfigError(ValueError):
     pass
 
 
-_COHORT_KEYS = {
-    "data.n_subjects": 200,
-    "data.visits": 8,
-    "data.latent_dim": 4,
-    "data.noise_sd": 0.1,
-    "data.missing_rate": 0.0,
-    "data.drift_sd": 0.05,
-    "data.base_drift_scale": 0.05,
-    "data.observation": "tanh",
-    "data.target_noise_sd": None,
-    "data.observed_rank": None,
-    "data.window": 3,
-}
+# Fields of a section's dataclass that get no config key (EdmdConfig.seed
+# comes from the run seed), and the one key not named after its field.
+_UNEXPOSED = {OptimConfig: ("betas", "eps"), EdmdConfig: ("seed",),
+              SyntheticConfig: ("n_noise_mri",)}
+_KEY_NAMES = {(SyntheticConfig, "visits_per_subject"): "visits"}
+
+
+def _section_fields(cls, prefix: str) -> dict:
+    """Config key -> dataclass field, for every exposed field of `cls`."""
+    return {f"{prefix}.{_KEY_NAMES.get((cls, f.name), f.name)}": f
+            for f in fields(cls) if f.name not in _UNEXPOSED.get(cls, ())}
+
+
+def _section(cls, prefix: str) -> dict:
+    """The default table of a section: each exposed field's default."""
+    return {k: f.default for k, f in _section_fields(cls, prefix).items()}
+
+
+_COHORT_KEYS = {**_section(SyntheticConfig, "data"),
+                "data.window": ArchConfig.window}
 
 _DATA_KEYS = {
     "data.path": None,              # CSV of visits; None -> synthesize
@@ -55,34 +69,13 @@ _MODEL_KEYS = {
 
 _ABLATION_KEYS = {"model.ablation": "full"}
 
-_OPTIM_KEYS = {
-    "optim.lr": 4e-4,
-    "optim.weight_decay": 1e-3,
-    "optim.batch_size": 128,
-    "optim.epochs": 200,
-    "optim.clip_norm": 1.0,
-    "optim.plateau_factor": 0.5,
-    "optim.plateau_patience": 8,
-    "optim.early_stop_patience": 20,
-}
-
-_LOSS_KEYS = {
-    "loss.lambda_koop": 0.1,
-    "loss.eta": 0.01,
-    "loss.rho": 0.95,
-}
+_OPTIM_KEYS = _section(OptimConfig, "optim")
+_LOSS_KEYS = _section(LossConfig, "loss")
+_EDMD_KEYS = _section(EdmdConfig, "edmd")
 
 _TRAIN_KEYS = {
     "train.mode": "joint",
     "train.val_frac": 0.2,
-}
-
-_EDMD_KEYS = {
-    "edmd.n_centers": 100,
-    "edmd.include_identity": True,
-    "edmd.include_constant": True,
-    "edmd.alpha": 0.0,
-    "edmd.readout_alpha": 1e-6,
 }
 
 _COMMON = {"seed": 0, "out": "out"}
@@ -205,45 +198,21 @@ def write_effective_config(cfg: dict, out_dir: Path) -> None:
 
 # ---- typed views over the flat table ---------------------------------------
 
+def from_config(cls, cfg: dict, prefix: str, **fixed):
+    """`cls` built from its section's `prefix.*` keys in cfg, plus the
+    unexposed fields given in `fixed`. The dataclass checks the values."""
+    return cls(**{f.name: cfg[k] for k, f in _section_fields(cls, prefix).items()},
+               **fixed)
+
+
 def arch_from_config(cfg: dict) -> ArchConfig:
-    scale = cfg.get("model.scale", "desk")
+    scale = cfg["model.scale"]
     if scale not in ("desk", "full"):
         raise ValueError(f"model.scale must be 'desk' or 'full', got {scale!r}")
     base = full_arch() if scale == "full" else ArchConfig()
-    kw = {}
+    kw = {"window": cfg["data.window"]}
     for field in ("d_z", "n_heads", "dropout", "n_refine_blocks",
                   "n_decoder_blocks", "sigma_init", "rho_init"):
-        v = cfg.get(f"model.{field}")
-        if v is not None:
-            kw[field] = v
-    if cfg.get("data.window") is not None:
-        kw["window"] = cfg["data.window"]
-    if not kw:
-        return base
-    from dataclasses import replace
+        if cfg[f"model.{field}"] is not None:
+            kw[field] = cfg[f"model.{field}"]
     return replace(base, **kw)
-
-
-def optim_from_config(cfg: dict) -> OptimConfig:
-    return OptimConfig(lr=cfg["optim.lr"],
-                       weight_decay=cfg["optim.weight_decay"],
-                       batch_size=cfg["optim.batch_size"],
-                       epochs=cfg["optim.epochs"],
-                       clip_norm=cfg["optim.clip_norm"],
-                       plateau_factor=cfg["optim.plateau_factor"],
-                       plateau_patience=cfg["optim.plateau_patience"],
-                       early_stop_patience=cfg["optim.early_stop_patience"])
-
-
-def loss_from_config(cfg: dict) -> LossConfig:
-    return LossConfig(lambda_koop=cfg["loss.lambda_koop"],
-                      eta=cfg["loss.eta"], rho=cfg["loss.rho"])
-
-
-def edmd_from_config(cfg: dict) -> EdmdConfig:
-    return EdmdConfig(n_centers=cfg["edmd.n_centers"],
-                      include_identity=cfg["edmd.include_identity"],
-                      include_constant=cfg["edmd.include_constant"],
-                      alpha=cfg["edmd.alpha"],
-                      readout_alpha=cfg["edmd.readout_alpha"],
-                      seed=cfg["seed"])

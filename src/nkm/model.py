@@ -54,6 +54,10 @@ def _finite(v) -> bool:
     return isinstance(v, numbers.Real) and math.isfinite(v)
 
 
+def _integer(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass
 class ArchConfig:
     d_z: int = 16
@@ -69,6 +73,17 @@ class ArchConfig:
     rho_init: float = 0.99
 
     def __post_init__(self):
+        # a float count dies in numpy when the model is built, a string on
+        # the first comparison
+        for name in ("d_z", "n_heads", "n_refine_blocks", "n_decoder_blocks",
+                     "window"):
+            if not _integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, "
+                                 f"got {getattr(self, name)!r}")
+        if isinstance(self.dropout, bool) or not (
+                _finite(self.dropout) and 0.0 <= self.dropout < 1.0):
+            raise ValueError("dropout must be a number in [0, 1), "
+                             f"got {self.dropout!r}")
         if self.d_z < 1:
             raise ValueError("d_z must be >= 1")
         if self.n_heads < 1 or self.d_z % self.n_heads:
@@ -85,8 +100,6 @@ class ArchConfig:
             self.group_hidden[g] = hidden
         if self.window < 2:
             raise ValueError("window must be >= 2")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ValueError("dropout must be in [0, 1)")
         if self.n_refine_blocks < 0 or self.n_decoder_blocks < 0:
             raise ValueError("block counts must be >= 0")
         # init_koopman clips every singular value to rho_init: a negative one
@@ -120,13 +133,9 @@ class AblationFlags:
 
     @staticmethod
     def from_name(name: str) -> "AblationFlags":
-        if name == "full":
-            return AblationFlags()
-        valid = ("no_control", "no_temporal_attention",
-                 "no_feature_attention", "no_spectral_reg")
-        if name not in valid:
+        if name not in ABLATION_SETUPS:
             raise ValueError(f"unknown ablation setup {name!r}")
-        return AblationFlags(**{name: True})
+        return AblationFlags() if name == "full" else AblationFlags(**{name: True})
 
 
 ABLATION_SETUPS = ["full", "no_control", "no_temporal_attention",

@@ -409,8 +409,9 @@ def run_cv(table: VisitTable, arch: ArchConfig | None = None,
            optim_cfg: OptimConfig | None = None, loss_cfg: LossConfig | None = None,
            k: int = 5, seed: int = 0, mode: str = "joint",
            ablation: AblationFlags | None = None, setup_name: str = "full",
-           w: int = 3, val_frac: float = 0.2) -> CvResult:
-    """Subject-stratified k-fold train/evaluate; fully seeded."""
+           val_frac: float = 0.2) -> CvResult:
+    """Subject-stratified k-fold train/evaluate on windows of arch.window
+    visits; fully seeded."""
     arch = arch if arch is not None else ArchConfig()
 
     def score(f: int, fd: FoldData) -> FoldOutcome:
@@ -419,7 +420,7 @@ def run_cv(table: VisitTable, arch: ArchConfig | None = None,
                     mode=mode, seed=seed + f)
         return FoldOutcome(f, evaluate(res.model, fd.test), res)
 
-    return _run_folds(setup_name, table, k, seed, w, val_frac, score)
+    return _run_folds(setup_name, table, k, seed, arch.window, val_frac, score)
 
 
 def run_edmd_cv(table: VisitTable, edmd_cfg: EdmdConfig | None = None, k: int = 5,

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nkm.cli import main
 
@@ -89,6 +91,19 @@ class TestExitCodes:
         rc, _ = run(tmp_path, "o", "train", *TINY, "--set", f"{key}={value}")
         assert rc == 1
         assert f"nkm: {key.split('.')[1]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [
+        ("model.n_heads", "2.0"), ("model.d_z", "8.0"),
+        ("model.n_refine_blocks", "2.5"), ("model.dropout", '"x"'),
+        ("model.d_z", "true"), ("model.n_decoder_blocks", "[2]")])
+    def test_model_values_of_the_wrong_type(self, tmp_path, capsys, key,
+                                            value):
+        # a None default takes any JSON type; these died with a TypeError
+        # traceback after synthesis and imputation
+        rc, out = run(tmp_path, "o", "train", *TINY, "--set", f"{key}={value}")
+        assert rc == 1
+        assert f"nkm: {key.split('.')[1]} must be" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
 
     @pytest.mark.parametrize("value", ["huge", "FULL"])
     def test_unknown_model_scale(self, tmp_path, capsys, value):
@@ -507,7 +522,7 @@ class TestAblateForwardsCvArguments:
                       "--set", "train.val_frac=0.3", "--set", "cv.k=3",
                       "--set", 'ablate.setups=["full"]')
         assert rc == 0, capsys.readouterr().err
-        assert [(kw.get("w"), kw.get("val_frac")) for kw in seen] == [(4, 0.3)]
+        assert [(kw["arch"].window, kw["val_frac"]) for kw in seen] == [(4, 0.3)]
         report = json.loads((out / "report.json").read_text())
         assert report["setups"]["full"]["folds"] == 3
         capsys.readouterr()
@@ -639,3 +654,99 @@ def test_every_config_key_is_read(command, tmp_path, monkeypatch, capsys,
     read = set().union(*(t.read for t in tables))
     assert sorted(set(COMMAND_DEFAULTS[command]) - read) == []
     capsys.readouterr()
+
+
+class _DataWork(Exception):
+    """Raised by the patched loaders; `main` does not catch it."""
+
+
+def _typed_keys(command: str) -> list[str]:
+    """The keys of `command` that a typed config reads."""
+    from nkm.config import COMMAND_DEFAULTS
+    table = COMMAND_DEFAULTS[command]
+    return [key for key in sorted(table)
+            if key.startswith(("model.", "optim.", "loss.", "edmd.", "data.",
+                               "bound.source"))
+            and key != "data.path"
+            and not (key == "data.window" and "model.scale" not in table)]
+
+
+def _accepted(key: str, cfg: dict) -> bool:
+    """Whether the typed config that reads `key` takes cfg's value, the
+    model included: the oracle for what may reach the data."""
+    from nkm.config import arch_from_config, from_config
+    from nkm.edmd import EdmdConfig
+    from nkm.model import AblationFlags, NkmModel
+    from nkm.optim import OptimConfig
+    from nkm.synthetic import SyntheticConfig
+    from nkm.training import LossConfig
+    try:
+        if key.startswith("model.") or key == "data.window":
+            NkmModel(arch_from_config(cfg), seed=0, ablation=AblationFlags
+                     .from_name(cfg.get("model.ablation", "full")))
+        elif key.startswith("optim."):
+            from_config(OptimConfig, cfg, "optim")
+        elif key.startswith("loss."):
+            from_config(LossConfig, cfg, "loss")
+        elif key.startswith("edmd."):
+            from_config(EdmdConfig, cfg, "edmd", seed=0)
+        elif key == "bound.source":
+            return cfg[key] in ("nkm", "edmd")
+        else:
+            from_config(SyntheticConfig, cfg, "data")
+    except Exception:
+        return False
+    return True
+
+
+# ints stay small because the oracle builds the model they size
+_JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 64),
+                         st.floats(), st.text(max_size=6),
+                         st.lists(st.integers(-3, 3), max_size=2))
+
+
+@pytest.mark.parametrize("command", sorted(_KEY_SCAN_RUNS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_a_bad_value_is_refused_before_any_data_work(command, data,
+                                                     tiny_checkpoint,
+                                                     tmp_path_factory):
+    """Any JSON value of a typed key either exits 2 (wrong JSON type), exits
+    1 (refused by its config), or reaches the data loaders, and only a value
+    its config takes may reach them. Refusals used to come after synthesis
+    and imputation, or not at all (model.n_heads=2.0 died in numpy)."""
+    from unittest import mock
+
+    import nkm.cli as cli
+    from nkm.config import ConfigError, build_config, parse_override
+    key = data.draw(st.sampled_from(_typed_keys(command)), label="key")
+    value = data.draw(_JSON_VALUES, label="value")
+    sets = [f"{key}={json.dumps(value)}"]
+    if command == "eval":
+        sets += [f"eval.model={tiny_checkpoint}/model",
+                 f"eval.preprocessor={tiny_checkpoint}/preprocessor.npz"]
+    if command == "verify-bound" and key.startswith("edmd."):
+        sets.append("bound.source=edmd")    # the one branch that reads them
+    args = [command, "--out", str(tmp_path_factory.getbasetemp() / "refusal")]
+    for s in sets:
+        args += ["--set", s]
+
+    def data_work(*a, **kw):
+        raise _DataWork
+
+    with mock.patch.object(cli, "_load_table", data_work), \
+            mock.patch.object(cli, "generate_synthetic", data_work), \
+            mock.patch.object(cli, "materialize_fold", data_work):
+        try:
+            rc = main(args)
+        except _DataWork:
+            rc = None
+    try:
+        cfg = build_config(command, overrides=[parse_override(s) for s in sets])
+    except ConfigError:
+        assert rc == 2
+        return
+    if rc is None:
+        assert _accepted(key, cfg), f"{sets[0]} reached the data"
+    else:
+        assert rc == 1 and not _accepted(key, cfg), sets[0]

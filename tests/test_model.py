@@ -110,6 +110,17 @@ class TestEncoder:
         with pytest.raises(ValueError, match="groups"):
             tiny_arch(groups=("csf", "pet"))
 
+    @pytest.mark.parametrize("key,value", [
+        ("d_z", 8.0), ("d_z", True), ("d_z", "8"), ("n_heads", 2.0),
+        ("n_heads", None), ("n_refine_blocks", 2.5),
+        ("n_decoder_blocks", [2]), ("window", 3.0), ("window", False),
+        ("dropout", "x"), ("dropout", True), ("dropout", None)])
+    def test_counts_and_dropout_validated(self, key, value):
+        # n_heads=2.0 and d_z=8.0 passed the range checks and died with a
+        # numpy TypeError in the first layer; "x" on the first comparison
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            tiny_arch(**{key: value})
+
 
 class TestAttention:
     def test_alpha_rows_sum_to_one(self):
