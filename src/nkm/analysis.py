@@ -370,7 +370,8 @@ def feature_importance(table: VisitTable, runs: int = 50, seed: int = 0,
     """Permutation importance over reseeded train/eval runs. Each run holds
     out a fresh subject split, trains (unless train_models is off), then
     measures the Pearson-r drop from shuffling one feature column across the
-    test windows of arch.window visits."""
+    test windows. A run's model is NkmModel(arch) or model_factory's; the
+    window length and the beta group names are read from that model."""
     if runs < 1:
         raise ValueError("runs must be >= 1")
     check_fraction(test_frac, "test_frac")
@@ -380,15 +381,16 @@ def feature_importance(table: VisitTable, runs: int = 50, seed: int = 0,
     targets = schema.TARGET_COLUMNS
     drop_sum = {t: np.zeros(n_f) for t in targets}
     top10_hits = np.zeros(n_f)
-    beta_sum = np.zeros(len(arch.groups))
+    beta_sum = 0.0
 
     for r in range(runs):
         rs = seed + r
-        _, test_subjects = train_val_split(table.unique_subjects(),
-                                           val_frac=test_frac, seed=rs)
-        fold = materialize_fold(table, test_subjects, seed=rs, w=arch.window)
         model = model_factory(rs) if model_factory is not None \
             else NkmModel(arch, seed=rs)
+        _, test_subjects = train_val_split(table.unique_subjects(),
+                                           val_frac=test_frac, seed=rs)
+        fold = materialize_fold(table, test_subjects, seed=rs,
+                                w=model.arch.window)
         if train_models:
             train(model, fold.train, fold.val, optim_cfg, loss_cfg, seed=rs)
 
@@ -419,5 +421,5 @@ def feature_importance(table: VisitTable, runs: int = 50, seed: int = 0,
     return ImportanceReport(IMPORTANCE_METHOD, list(features), per_target,
                             mean_imp.tolist(), (top10_hits / runs).tolist(),
                             {g: float(b) for g, b in
-                             zip(arch.groups, beta_sum / runs)},
+                             zip(model.arch.groups, beta_sum / runs)},
                             runs, seed)

@@ -31,8 +31,8 @@ from .edmd import EdmdConfig, EdmdModel
 from .model import AblationFlags, NkmModel, load_checkpoint, save_checkpoint
 from .optim import OptimConfig
 from .synthetic import SyntheticConfig, generate_synthetic
-from .training import (CvResult, LossConfig, evaluate, run_ablation, run_cv,
-                       run_edmd_cv, train)
+from .training import (CvResult, LossConfig, check_mode, evaluate,
+                       run_ablation, run_cv, run_edmd_cv, train)
 
 METRIC_COLUMNS = ["setup", "fold", "target", "pearson", "spearman", "mae",
                   "rmse"]
@@ -101,6 +101,7 @@ def _fit_nkm(cfg: dict, hold_out: bool):
     ablation = AblationFlags.from_name(cfg["model.ablation"])
     optim_cfg = from_config(OptimConfig, cfg, "optim")
     loss_cfg = from_config(LossConfig, cfg, "loss")
+    check_mode(cfg["train.mode"], "train.mode")
     table, _ = _load_table(_data_source(cfg), cfg["seed"])
     test_subjects = []
     if hold_out:
@@ -139,6 +140,7 @@ def _load_nkm(cfg: dict, prefix: str):
 
 def _cv_kwargs(cfg: dict) -> dict:
     """run_cv arguments shared by the cv and ablate commands."""
+    check_mode(cfg["train.mode"], "train.mode")
     return {"arch": arch_from_config(cfg),
             "optim_cfg": from_config(OptimConfig, cfg, "optim"),
             "loss_cfg": from_config(LossConfig, cfg, "loss"), "k": cfg["cv.k"],

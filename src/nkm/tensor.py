@@ -432,7 +432,9 @@ def reshape(a, shape) -> Tensor:
 def take_rows(a, rows: slice | np.ndarray) -> Tensor:
     """a[rows] along axis 0: a block for a slice, or the rows an integer index
     array names, in its order and as often as it names them. The backward
-    adds each occurrence's gradient into its row, in index order."""
+    adds each occurrence's gradient into its row, in index order; an index
+    that names no row twice stores 0.0 + g by assignment, the values
+    np.add.at would leave, signed zeros included."""
     a = as_tensor(a)
 
     def backward(g):
@@ -440,6 +442,8 @@ def take_rows(a, rows: slice | np.ndarray) -> Tensor:
             full = np.zeros_like(a.data)
             if isinstance(rows, slice):
                 full[rows] = g
+            elif np.bincount(rows % len(full)).max(initial=0) <= 1:
+                full[rows] = g + 0.0
             else:
                 np.add.at(full, rows, g)
             a._accumulate(full)

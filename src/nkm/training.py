@@ -30,7 +30,8 @@ import numpy as np
 from . import schema
 from .data import FoldData, VisitTable, Windows, materialize_fold, subject_kfold
 from .edmd import EdmdConfig, EdmdModel
-from .linalg import pinv, spectral_norm_differentiable
+from .linalg import (pinv, spectral_norm_differentiable,
+                     top_singular_value)
 from .model import (ABLATION_SETUPS, AblationFlags, ArchConfig, NkmModel,
                     transition_rows, window_rows)
 from .optim import AdamW, OptimConfig, clip_global_norm
@@ -131,16 +132,39 @@ def koopman_fixed_point(covs) -> np.ndarray:
     return (c_nz - c_cz) @ pinv(c_zz)
 
 
+def _koopman_step(top: float, lambda_koop: float) -> float:
+    """0.5 / (lambda * top) for top = lambda_max(C_zz): the inverse of the
+    Lipschitz constant 2 lambda top of the closed-form gradient, or 0 where
+    either factor is 0."""
+    if lambda_koop <= 0.0 or top <= 0.0:
+        return 0.0
+    return 0.5 / (lambda_koop * top)
+
+
 def _safe_koopman_step_size(c_zz: np.ndarray, lambda_koop: float) -> float:
-    if lambda_koop <= 0.0:
-        return 0.0
-    smax = float(np.linalg.eigvalsh((c_zz + c_zz.T) / 2.0)[-1])
-    if smax <= 0.0:
-        return 0.0
-    return 0.5 / (lambda_koop * smax)
+    """`_koopman_step` of C_zz, whose top singular value is its top
+    eigenvalue because it is symmetric positive semi-definite."""
+    return _koopman_step(top_singular_value(c_zz), lambda_koop)
+
+
+def _transition_step_size(z: np.ndarray, B: int, lambda_koop: float) -> float:
+    """`_koopman_step` of the C_zz of visit-major latents z (w*B, d_z), read
+    as sigma_max(Z_t)^2 / M from the M = B*(w-1) transition rows Z_t, so
+    the eigensolve is min(M, d_z) on a side rather than d_z."""
+    Zt = z[transition_rows(z.shape[0], B)[0]]
+    return _koopman_step(top_singular_value(Zt) ** 2 / Zt.shape[0], lambda_koop)
 
 
 # ---- training loop --------------------------------------------------------
+
+TRAIN_MODES = ("joint", "alternating")
+
+
+def check_mode(mode: str, name: str = "mode") -> None:
+    if mode not in TRAIN_MODES:
+        raise ValueError(f"{name} must be "
+                         f"{' or '.join(map(repr, TRAIN_MODES))}, got {mode!r}")
+
 
 @dataclass
 class TrainResult:
@@ -200,8 +224,7 @@ def train(model: NkmModel, train_windows: Windows, val_windows: Windows,
     mean loss parts and pre-clip gradient norm over its steps, the step
     count, the validation loss and the lr the epoch ran with.
     Deterministic given (seed, data)."""
-    if mode not in ("joint", "alternating"):
-        raise ValueError("mode must be 'joint' or 'alternating'")
+    check_mode(mode)
     if len(train_windows) == 0 or len(val_windows) == 0:
         raise ValueError("train and val window sets must be non-empty")
     if len(train_windows.subjects) != len(train_windows):
@@ -241,8 +264,8 @@ def train(model: NkmModel, train_windows: Windows, val_windows: Windows,
                     covs = koopman_covariances(fwd.z.data, fwd.control.data)
                     g = koopman_grad_closed_form(model.K.data, covs,
                                                  loss_cfg.lambda_koop)
-                    model.K.data -= _safe_koopman_step_size(
-                        covs[0], loss_cfg.lambda_koop) * g
+                    model.K.data -= _transition_step_size(
+                        fwd.z.data, len(idx), loss_cfg.lambda_koop) * g
                     model.project_spectral(loss_cfg.rho)
                 for k in sums:
                     sums[k] += parts[k]

@@ -441,6 +441,20 @@ class TestFeatureImportance:
             mine = [name for name, s in calls if s == rs]
             assert mine == ["forward"] + ["predict"] * n_f
 
+    def test_window_and_groups_come_from_the_factory_model(self):
+        # with arch unset they came from ArchConfig(): forward refused the
+        # factory's window-4 model the (6, 3, 44) windows of window 3
+        table = long_cohort(seed=9, n_subjects=12, visits=6)
+        groups = tuple(g for g in tiny_arch().groups if g != "demo")
+        arch = tiny_arch(window=4, groups=groups)
+        report = feature_importance(
+            table, runs=1, seed=0, train_models=False,
+            model_factory=lambda rs: NkmModel(arch, seed=rs))
+        assert list(report.beta_mean) == list(groups)
+        given = feature_importance(table, runs=1, seed=0, arch=arch,
+                                   train_models=False)
+        assert report.to_dict() == given.to_dict()
+
     def test_report_structure(self):
         table = long_cohort(seed=10, n_subjects=12, visits=5)
         report = feature_importance(table, runs=2, seed=1, arch=tiny_arch(),

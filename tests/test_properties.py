@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from nkm import schema
 from nkm.data import (_BLOCK, Preprocessor, VisitTable, build_windows, load_visits_csv,
                       materialize_fold, subject_kfold, write_visits_csv)
+from nkm.linalg import top_singular_value
 from nkm.model import ABLATION_SETUPS, AblationFlags, ArchConfig, NkmModel
 from nkm.synthetic import SyntheticConfig, generate_synthetic
 from nkm.tensor import no_grad
@@ -162,6 +163,25 @@ def test_projection_keeps_exact_norm_within_rho(d, log_scale, rho, seed):
         # a pure rescale onto the sphere of radius rho
         assert np.allclose(m.K.data * (before / rho), K, rtol=1e-12, atol=0.0)
         assert after >= rho * (1.0 - 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 40), n=st.integers(1, 40), rank=st.integers(0, 40),
+       log_scale=st.floats(-3.0, 3.0), seed=SEEDS)
+@example(m=40, n=3, rank=40, log_scale=0.0, seed=0)       # tall
+@example(m=3, n=40, rank=40, log_scale=0.0, seed=0)       # wide
+@example(m=40, n=40, rank=40, log_scale=-3.0, seed=1)     # square
+@example(m=40, n=40, rank=2, log_scale=3.0, seed=2)       # rank-deficient
+@example(m=7, n=12, rank=0, log_scale=0.0, seed=0)        # the zero matrix
+def test_top_singular_value_matches_svd(m, n, rank, log_scale, seed):
+    # A is a sum of `rank` outer products, so rank-deficient whenever
+    # rank < min(m, n), and zero at rank 0
+    rng = np.random.default_rng(seed)
+    A = 10.0 ** log_scale * (rng.standard_normal((m, rank))
+                             @ rng.standard_normal((rank, n)))
+    want = np.linalg.svd(A, compute_uv=False)[0]
+    got = top_singular_value(A)
+    assert abs(got - want) <= 1e-13 * want
 
 
 @np.errstate(over="ignore", invalid="ignore")

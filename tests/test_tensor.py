@@ -195,6 +195,37 @@ class TestLayerNormConcat:
         xt = T.Tensor(x0.copy(), requires_grad=True)
         T.tsum(T.take_rows(xt, rows)).backward()
         assert np.array_equal(xt.grad[:, 0], [2.0, 0.0, 1.0, 0.0, 3.0])
+        # -1 names row 4 again, so it is a repeat too
+        xt = T.Tensor(x0.copy(), requires_grad=True)
+        T.tsum(T.take_rows(xt, np.array([4, 1, -1]))).backward()
+        assert np.array_equal(xt.grad[:, 0], [0.0, 1.0, 0.0, 0.0, 2.0])
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("prior", [False, True],
+                             ids=["first-store", "accumulated"])
+    def test_take_rows_unique_index_matches_add_at(self, order, prior):
+        # an index that names no row twice stores its gradient by
+        # assignment; the gradient must be np.add.at's byte for byte, also
+        # where g holds a -0.0 that a plain store would keep negative and an
+        # earlier gradient of -0.0 would then keep so
+        x0 = RNG.standard_normal((6, 4))
+        rows = np.array([4, 0, -1, 2])          # -1 is row 5
+        g = np.array(RNG.standard_normal((4, 4)), order=order)
+        g[1, 2] = -0.0                           # lands on row 0
+        earlier = RNG.standard_normal((6, 4))
+        earlier[0, 2] = -0.0
+        xt = T.Tensor(x0, requires_grad=True)
+        if prior:
+            xt.grad = earlier.copy()
+        T.take_rows(xt, rows)._backward(g)
+        full = np.zeros_like(x0)
+        np.add.at(full, rows, g)
+        ref = T.Tensor(x0, requires_grad=True)
+        if prior:
+            ref.grad = earlier.copy()
+        ref._accumulate(full)
+        assert xt.grad.tobytes() == ref.grad.tobytes()
+        assert not np.signbit(xt.grad[0, 2])
 
 
 class TestTapeMechanics:

@@ -203,6 +203,28 @@ class TestKoopmanClosedForm:
         g = koopman_grad_closed_form(k_star, covs, 0.1)
         assert np.max(np.abs(g)) < 1e-10
 
+    @pytest.mark.parametrize("d_z", [8, 48], ids=["d_z<M", "d_z>M"])
+    def test_transition_step_size_equals_the_covariance_one(self, d_z):
+        # train reads lambda_max(C_zz) as sigma_max(Z_t)^2 / M; at M = 14
+        # transitions the Gram matrix is 14 x 14 when d_z = 48
+        rng = np.random.default_rng(13)
+        model = NkmModel(tiny_arch(d_z=d_z), seed=14)
+        X, _ = tiny_batch(rng, B=7)
+        fwd = model.forward(X)
+        lam = 0.37
+        c_zz = koopman_covariances(fwd.z.data, fwd.control.data)[0]
+        want = training._safe_koopman_step_size(c_zz, lam)
+        got = training._transition_step_size(fwd.z.data, 7, lam)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        # the symmetric eigensolve on C_zz itself
+        top = np.linalg.eigvalsh(c_zz)[-1]
+        assert want == pytest.approx(0.5 / (lam * top), rel=1e-12, abs=0.0)
+
+    def test_step_size_is_zero_without_koopman_loss(self):
+        c_zz = np.eye(3)
+        assert training._safe_koopman_step_size(c_zz, 0.0) == 0.0
+        assert training._safe_koopman_step_size(0.0 * c_zz, 0.1) == 0.0
+
     def test_model_covariances_shapes(self):
         rng = np.random.default_rng(11)
         model = NkmModel(tiny_arch(), seed=12)
@@ -336,6 +358,50 @@ class TestTrainLoop:
                     project_final=False)
         assert not np.array_equal(res.model.K.data, k0)
         assert np.linalg.svd(res.model.K.data, compute_uv=False)[0] <= 0.95 + 1e-8
+
+    @pytest.mark.parametrize("d_z", [8, 64], ids=["d_z<M", "d_z>M"])
+    def test_alternating_step_runs_no_full_factorization(self, monkeypatch,
+                                                         d_z):
+        # each step reads its step size from the M x M or d_z x d_z Gram
+        # matrix of the M transition rows, whichever is smaller, and the
+        # projection reads ||K||_2 from K's d_z x d_z Gram matrix: no SVD,
+        # and no eigensolve of C_zz where M < d_z
+        table = small_cohort(seed=3)
+        fold = materialize_fold(table, table.unique_subjects()[:6], seed=3)
+        model = NkmModel(tiny_arch(d_z=d_z), seed=6)
+        svd, eigvalsh = np.linalg.svd, np.linalg.eigvalsh
+        step_size = training._transition_step_size
+        svd_calls, sides, transitions = [], [], []
+
+        def counted_svd(a, *args, **kwargs):
+            svd_calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        def counted_eigvalsh(a, *args, **kwargs):
+            sides.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        def recorded_step_size(z, B, lambda_koop):
+            transitions.append(z.shape[0] - B)
+            return step_size(z, B, lambda_koop)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+        monkeypatch.setattr(training, "_transition_step_size",
+                            recorded_step_size)
+        res = train(model, fold.train, fold.val,
+                    fast_optim(epochs=2, batch_size=8), LossConfig(),
+                    mode="alternating", seed=7)
+        assert svd_calls == []
+        assert len(transitions) == sum(r["steps"] for r in res.history) > 2
+        if d_z == 64:
+            assert max(transitions) < d_z      # every step's Gram is M x M
+        else:
+            assert max(transitions) > d_z
+        want = []
+        for M in transitions:
+            want += [(min(M, d_z),) * 2, (d_z, d_z)]   # step size, projection
+        assert sides == want + [(d_z, d_z)]            # the final projection
 
     def test_alternating_mode_keeps_k_off_the_tape(self, monkeypatch):
         # K moves by its closed form there, so no backward pass may reach it
