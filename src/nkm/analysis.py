@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import schema
-from .data import (VisitTable, Windows, check_fraction, materialize_fold,
-                   train_val_split, visit_runs)
+from .checks import check_int, check_number
+from .data import (VisitTable, Windows, materialize_fold, train_val_split,
+                   visit_runs)
 from .edmd import EdmdModel
 from .linalg import max_abs_eigenvalue
 from .model import ArchConfig, NkmModel, window_rows
@@ -54,10 +54,8 @@ def geometric_bound(eps_tilde: float, norm_k: float, tau: int) -> float:
     """eps_t (1 - q^tau)/(1 - q); defined for q in [0, 1) and tau >= 1."""
     if not (0.0 <= norm_k < 1.0):
         raise ValueError("bound requires ||K||_2 < 1")
-    if tau < 1:
-        raise ValueError("tau must be >= 1")
-    if eps_tilde < 0:
-        raise ValueError("eps_tilde must be >= 0")
+    check_int(tau, "tau", 1)
+    check_number(eps_tilde, "eps_tilde", 0)
     # grouping the series factor keeps bound(1) == eps_tilde bit-exact
     return eps_tilde * ((1.0 - norm_k ** tau) / (1.0 - norm_k))
 
@@ -125,8 +123,7 @@ def verify_bound(model: NkmModel | EdmdModel, table: VisitTable,
     reuse the measured per-step controls; EDMD rollouts are autonomous.
     The premises, ||K||_2 < 1 and a subject with tau_max + 1 states, are
     checked before any state is lifted."""
-    if tau_max < 1:
-        raise ValueError("tau_max must be >= 1")
+    check_int(tau_max, "tau_max", 1)
     rows, seq = _bound_runs(model, table)
     K = model.K.data if isinstance(model, NkmModel) else model.K
     norm_k = float(np.linalg.svd(K, compute_uv=False)[0])
@@ -187,13 +184,9 @@ def verify_descent(model: NkmModel, windows: Windows,
     if the composite loss does not increase; on violation the step is halved
     and retried (when backtracking is on). The huge-step no-backtracking
     variant is the negative control and is expected to fail."""
-    if (isinstance(iters, bool) or not isinstance(iters, numbers.Integral)
-            or iters < 1):
-        raise ValueError(f"iters must be an integer >= 1, got {iters!r}")
-    for name, step in (("theta_step", theta_step), ("k_step", k_step)):
-        if not (isinstance(step, numbers.Real) and math.isfinite(step)
-                and step > 0):
-            raise ValueError(f"{name} must be a finite number > 0, got {step!r}")
+    check_int(iters, "iters", 1)
+    check_number(theta_step, "theta_step", 0, lo_open=True)
+    check_number(k_step, "k_step", 0, lo_open=True)
     if not len(windows):
         raise ValueError("verify_descent needs at least one window")
     loss_cfg = loss_cfg if loss_cfg is not None else LossConfig()
@@ -284,8 +277,7 @@ def rollout_latents(model: NkmModel, windows: Windows, steps: int = 5
                     ) -> np.ndarray:
     """(n, steps+1, d_z): each window's refined latent advanced by
     z <- K z + c, reusing the window's own control at every step."""
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    check_int(steps, "steps", 0)
     _, z, c = model.latents(*window_rows(windows.X))
     K = model.K.data
     out = np.empty((z.shape[0], steps + 1, z.shape[1]))
@@ -372,9 +364,8 @@ def feature_importance(table: VisitTable, runs: int = 50, seed: int = 0,
     measures the Pearson-r drop from shuffling one feature column across the
     test windows. A run's model is NkmModel(arch) or model_factory's; the
     window length and the beta group names are read from that model."""
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
-    check_fraction(test_frac, "test_frac")
+    check_int(runs, "runs", 1)
+    check_number(test_frac, "test_frac", 0, 1, lo_open=True, hi_open=True)
     arch = arch if arch is not None else ArchConfig()
     features = schema.FEATURE_COLUMNS
     n_f = len(features)

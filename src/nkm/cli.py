@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ import numpy as np
 from . import schema
 from .analysis import (export_latents, feature_importance, verify_bound,
                        verify_descent, write_latents_csv)
+from .checks import check_choice, check_int, check_number
 from .config import (COMMAND_DEFAULTS, ConfigError, arch_from_config,
                      build_config, from_config, load_config_file,
                      parse_override, write_effective_config)
@@ -31,8 +33,8 @@ from .edmd import EdmdConfig, EdmdModel
 from .model import AblationFlags, NkmModel, load_checkpoint, save_checkpoint
 from .optim import OptimConfig
 from .synthetic import SyntheticConfig, generate_synthetic
-from .training import (CvResult, LossConfig, check_mode, evaluate,
-                       run_ablation, run_cv, run_edmd_cv, train)
+from .training import (TRAIN_MODES, CvResult, LossConfig, check_setups,
+                       evaluate, run_ablation, run_cv, run_edmd_cv, train)
 
 METRIC_COLUMNS = ["setup", "fold", "target", "pearson", "spearman", "mae",
                   "rmse"]
@@ -101,7 +103,6 @@ def _fit_nkm(cfg: dict, hold_out: bool):
     ablation = AblationFlags.from_name(cfg["model.ablation"])
     optim_cfg = from_config(OptimConfig, cfg, "optim")
     loss_cfg = from_config(LossConfig, cfg, "loss")
-    check_mode(cfg["train.mode"], "train.mode")
     table, _ = _load_table(_data_source(cfg), cfg["seed"])
     test_subjects = []
     if hold_out:
@@ -140,12 +141,42 @@ def _load_nkm(cfg: dict, prefix: str):
 
 def _cv_kwargs(cfg: dict) -> dict:
     """run_cv arguments shared by the cv and ablate commands."""
-    check_mode(cfg["train.mode"], "train.mode")
     return {"arch": arch_from_config(cfg),
             "optim_cfg": from_config(OptimConfig, cfg, "optim"),
             "loss_cfg": from_config(LossConfig, cfg, "loss"), "k": cfg["cv.k"],
             "seed": cfg["seed"], "mode": cfg["train.mode"],
             "val_frac": cfg["train.val_frac"]}
+
+
+_FRACTION = partial(check_number, lo=0, hi=1, lo_open=True, hi_open=True)
+_POSITIVE = partial(check_number, lo=0, lo_open=True)
+
+# Keys whose library function would refuse a bad value only after the data
+# is loaded, each checked as that function's parameter (the key's last part)
+_RUN_KEY_CHECKS = {
+    "train.val_frac": _FRACTION, "importance.test_frac": _FRACTION,
+    "cv.k": partial(check_int, lo=2), "importance.runs": partial(check_int, lo=1),
+    "descent.iters": partial(check_int, lo=1),
+    "descent.theta_step": _POSITIVE, "descent.k_step": _POSITIVE,
+    "bound.tau_max": partial(check_int, lo=1),
+    "export.rollout_steps": partial(check_int, lo=0),
+    "ablate.setups": check_setups,
+}
+
+
+def _check_run_keys(cfg: dict) -> None:
+    """Refuse a bad run key before any data work. The typed configs refuse
+    their own keys when the handlers build them."""
+    for key, check in _RUN_KEY_CHECKS.items():
+        if key in cfg:
+            try:
+                check(cfg[key], key.split(".")[1])
+            except ValueError as err:
+                raise ValueError(f"{err} (config key {key})") from None
+    if "train.mode" in cfg:
+        check_choice(cfg["train.mode"], "train.mode", TRAIN_MODES)
+    if "bound.source" in cfg:
+        check_choice(cfg["bound.source"], "bound.source", ("nkm", "edmd"))
 
 
 def _cv_summary(res: CvResult) -> dict:
@@ -291,14 +322,12 @@ def _cmd_verify_bound(cfg: dict, out_dir: Path) -> None:
         model = EdmdModel(edmd_cfg).fit(table)
         report = verify_bound(model, table, tau_max=tau_max)
         meta = {"source": "edmd"}
-    elif cfg["bound.source"] == "nkm":
+    else:
         fold, result = _fit_nkm(cfg, hold_out=True)
         report = verify_bound(result.model,
                               fold.table.subset_subjects(fold.test_subjects),
                               tau_max=tau_max)
         meta = {"source": "nkm", "held_out_subjects": len(fold.test_subjects)}
-    else:
-        raise ValueError("bound.source must be 'nkm' or 'edmd'")
     _write_report(out_dir, {**meta, **report.to_dict()})
     print(f"bound check ({meta['source']}): "
           f"{'PASS' if report.passed else 'FAIL'}  "
@@ -404,6 +433,7 @@ def main(argv: list[str] | None = None) -> int:
                            seed=args.seed, out=args.out)
         out_dir = Path(cfg["out"])
         write_effective_config(cfg, out_dir)
+        _check_run_keys(cfg)
         _HANDLERS[args.command](cfg, out_dir)
         return 0
     except ConfigError as err:

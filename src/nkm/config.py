@@ -19,6 +19,7 @@ import json
 from dataclasses import fields, replace
 from pathlib import Path
 
+from .checks import check_choice
 from .edmd import EdmdConfig
 from .model import ArchConfig, full_arch
 from .optim import OptimConfig
@@ -206,10 +207,8 @@ def from_config(cls, cfg: dict, prefix: str, **fixed):
 
 
 def arch_from_config(cfg: dict) -> ArchConfig:
-    scale = cfg["model.scale"]
-    if scale not in ("desk", "full"):
-        raise ValueError(f"model.scale must be 'desk' or 'full', got {scale!r}")
-    base = full_arch() if scale == "full" else ArchConfig()
+    check_choice(cfg["model.scale"], "model.scale", ("desk", "full"))
+    base = full_arch() if cfg["model.scale"] == "full" else ArchConfig()
     kw = {"window": cfg["data.window"]}
     for field in ("d_z", "n_heads", "dropout", "n_refine_blocks",
                   "n_decoder_blocks", "sigma_init", "rho_init"):

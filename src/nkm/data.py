@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import schema
+from .checks import check_int, check_number
 
 
 @dataclass
@@ -163,8 +163,7 @@ def visit_runs(table: VisitTable, length: int
     ordered by subject, then start; visits of one subject are ordered by
     visit number, ties in table order.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
+    check_int(length, "length", 1)
     code: dict[str, int] = {}     # first-appearance position
     subject = np.array([code.setdefault(s, len(code)) for s in table.subject_ids],
                        dtype=np.int64)
@@ -185,8 +184,7 @@ def build_windows(table: VisitTable, w: int = 3) -> Windows:
     A subject with v visits yields max(0, v - w) windows; windows whose
     target row has any missing target are dropped.
     """
-    if w < 1:
-        raise ValueError("w must be >= 1")
+    check_int(w, "w", 1)
     rows, seq, start = visit_runs(table, w + 1)
     keep = ~np.isnan(table.Y[rows[:, w]]).any(axis=1)
     rows, seq = rows[keep], seq[keep]
@@ -197,8 +195,7 @@ def build_windows(table: VisitTable, w: int = 3) -> Windows:
 
 def subject_kfold(subjects: list[str], k: int = 5, seed: int = 0) -> list[list[str]]:
     """Deal shuffled subjects round-robin into k folds (sizes within 1)."""
-    if k < 2:
-        raise ValueError("k must be >= 2")
+    check_int(k, "k", 2)
     if len(subjects) < k:
         raise ValueError(f"need at least {k} subjects for {k} folds")
     order = list(subjects)
@@ -210,17 +207,10 @@ def subject_kfold(subjects: list[str], k: int = 5, seed: int = 0) -> list[list[s
     return folds
 
 
-def check_fraction(value, name: str) -> None:
-    """Refuse `value` unless it is a real number in (0, 1), naming it `name`."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not 0.0 < value < 1.0):
-        raise ValueError(f"{name} must be a number in (0, 1), got {value!r}")
-
-
 def train_val_split(subjects: list[str], val_frac: float = 0.2,
                     seed: int = 0) -> tuple[list[str], list[str]]:
     """Subject-level split; both sides non-empty."""
-    check_fraction(val_frac, "val_frac")
+    check_number(val_frac, "val_frac", 0, 1, lo_open=True, hi_open=True)
     if len(subjects) < 2:
         raise ValueError("need at least 2 subjects to split")
     order = list(subjects)
@@ -366,11 +356,8 @@ class Preprocessor:
     """
 
     def __init__(self, k: int = 5, std_floor: float = 1e-8):
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {k!r}")
-        if (isinstance(std_floor, bool) or not isinstance(std_floor, numbers.Real)
-                or not (math.isfinite(std_floor) and std_floor >= 0)):
-            raise ValueError(f"std_floor must be a finite number >= 0, got {std_floor!r}")
+        check_int(k, "k", 1)
+        check_number(std_floor, "std_floor", 0)
         self.k = k
         self.std_floor = std_floor
         self.mean_: np.ndarray | None = None

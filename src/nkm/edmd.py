@@ -9,11 +9,11 @@ advances tau steps, and applies the readout.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_bool, check_int, check_number
 from .data import VisitTable, Windows, visit_runs
 from .linalg import pinv
 
@@ -28,14 +28,12 @@ class EdmdConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_centers < 0:
-            raise ValueError("n_centers must be >= 0")
-        for name in ("alpha", "readout_alpha"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, "
-                                 f"got {getattr(self, name)!r}")
-        if self.alpha < 0 or self.readout_alpha < 0:
-            raise ValueError("ridge strengths must be >= 0")
+        check_int(self.n_centers, "n_centers", 0)
+        check_bool(self.include_identity, "include_identity")
+        check_bool(self.include_constant, "include_constant")
+        check_number(self.alpha, "alpha", 0)
+        check_number(self.readout_alpha, "readout_alpha", 0)
+        check_int(self.seed, "seed", 0)
         if self.n_centers == 0 and not (self.include_identity
                                         or self.include_constant):
             raise ValueError("dictionary would be empty")
@@ -49,8 +47,7 @@ class RbfDictionary:
     include_constant: bool
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        check_number(self.bandwidth, "bandwidth", 0, lo_open=True)
 
     @property
     def lifted_dim(self) -> int:
@@ -180,8 +177,7 @@ class EdmdModel:
     def advance(self, psi: np.ndarray, tau: int = 1) -> np.ndarray:
         """tau applications of the operator to lifted rows."""
         self._require_fitted()
-        if tau < 0:
-            raise ValueError("tau must be >= 0")
+        check_int(tau, "tau", 0)
         out = np.asarray(psi, dtype=np.float64)
         for _ in range(tau):
             out = out @ self.K.T

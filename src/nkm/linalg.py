@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from .checks import check_int
 from .tensor import Tensor, _make, _unbroadcast, as_tensor
 
 _BLOCK = 8           # columns of the subspace in power_iteration_norm
@@ -39,8 +40,7 @@ def power_iteration_norm(K: np.ndarray, iters: int = 10, seed: int = 0) -> float
     is sigma_max(K @ V) for orthonormal V, hence never exceeds the true norm.
     """
     K = check_matrix(K, "K")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
+    check_int(iters, "iters", 1)
     n = K.shape[1]
     b = min(_BLOCK, n)
     rng = np.random.default_rng(seed)

@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-import numbers
 import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import schema
+from .checks import check_bool, check_int, check_number
 from .linalg import clip_singular_values, spectral_scale
 from .optim import ParamStore
 from .tensor import (Tensor, add, concat, dense_ln_silu, div, exp, matmul,
@@ -48,14 +47,6 @@ _DESK_HIDDEN = {"genetic": (12, 8), "csf": (12, 8), "pet": (12, 8),
                 "mri": (24, 12), "demo": (12, 8)}
 _FULL_HIDDEN = {"genetic": (90, 20), "csf": (90, 20), "pet": (90, 20),
                 "mri": (180, 120), "demo": (90, 20)}
-
-
-def _finite(v) -> bool:
-    return isinstance(v, numbers.Real) and math.isfinite(v)
-
-
-def _integer(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass
@@ -73,20 +64,11 @@ class ArchConfig:
     rho_init: float = 0.99
 
     def __post_init__(self):
-        # a float count dies in numpy when the model is built, a string on
-        # the first comparison
-        for name in ("d_z", "n_heads", "n_refine_blocks", "n_decoder_blocks",
-                     "window"):
-            if not _integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, "
-                                 f"got {getattr(self, name)!r}")
-        if isinstance(self.dropout, bool) or not (
-                _finite(self.dropout) and 0.0 <= self.dropout < 1.0):
-            raise ValueError("dropout must be a number in [0, 1), "
-                             f"got {self.dropout!r}")
-        if self.d_z < 1:
-            raise ValueError("d_z must be >= 1")
-        if self.n_heads < 1 or self.d_z % self.n_heads:
+        for name, lo in (("d_z", 1), ("n_heads", 1), ("n_refine_blocks", 0),
+                         ("n_decoder_blocks", 0), ("window", 2)):
+            check_int(getattr(self, name), name, lo)
+        check_number(self.dropout, "dropout", 0, 1, hi_open=True)
+        if self.d_z % self.n_heads:
             raise ValueError("n_heads must divide d_z")
         groups = tuple(self.groups)
         if groups not in (tuple(schema.GROUP_NAMES),
@@ -95,19 +77,15 @@ class ArchConfig:
         self.groups = groups
         for g in groups:
             hidden = tuple(self.group_hidden.get(g, ()))
-            if not hidden or any(h < 1 for h in hidden):
+            if not hidden:
                 raise ValueError(f"group {g!r} needs positive hidden widths")
+            for h in hidden:
+                check_int(h, f"group_hidden[{g!r}] width", 1)
             self.group_hidden[g] = hidden
-        if self.window < 2:
-            raise ValueError("window must be >= 2")
-        if self.n_refine_blocks < 0 or self.n_decoder_blocks < 0:
-            raise ValueError("block counts must be >= 0")
         # init_koopman clips every singular value to rho_init: a negative one
         # flips K to -U V^T with ||K||_2 = 1, and zero leaves R_spec non-finite
-        if not (_finite(self.sigma_init) and self.sigma_init >= 0):
-            raise ValueError("sigma_init must be a finite number >= 0")
-        if not (_finite(self.rho_init) and self.rho_init > 0):
-            raise ValueError("rho_init must be a finite number > 0")
+        check_number(self.sigma_init, "sigma_init", 0)
+        check_number(self.rho_init, "rho_init", 0, lo_open=True)
 
     @property
     def d_k(self) -> int:
@@ -127,8 +105,9 @@ class AblationFlags:
     no_spectral_reg: bool = False
 
     def __post_init__(self):
-        if sum([self.no_control, self.no_temporal_attention,
-                self.no_feature_attention, self.no_spectral_reg]) > 1:
+        for name, flag in asdict(self).items():
+            check_bool(flag, name)
+        if sum(asdict(self).values()) > 1:
             raise ValueError("at most one ablation flag may be set")
 
     @staticmethod
@@ -555,27 +534,39 @@ def load_checkpoint(stem: str) -> tuple[NkmModel, dict]:
         raise FileNotFoundError(f"checkpoint files {json_path} / {bin_path} missing")
     with open(json_path) as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"checkpoint manifest {json_path} is not a JSON object")
     version = manifest.get("format_version")
     if version != _CHECKPOINT_FORMAT:
         raise ValueError(f"checkpoint format_version {version} is not readable; "
                          f"this version reads format_version {_CHECKPOINT_FORMAT} "
                          "(retrain to convert)")
-    arch_d = dict(manifest["arch"])
-    arch_d["groups"] = tuple(arch_d["groups"])
-    arch_d["group_hidden"] = {k: tuple(v) for k, v in arch_d["group_hidden"].items()}
-    arch = ArchConfig(**arch_d)
-    model = NkmModel(arch, seed=manifest["seed"],
-                     ablation=AblationFlags(**manifest["ablation"]))
-    if model.params.names() != manifest["param_names"]:
+    # the configs refuse a bad value; these errors mean a field is missing,
+    # unknown or of the wrong JSON shape
+    try:
+        arch_d = dict(manifest["arch"])
+        arch_d["groups"] = tuple(arch_d["groups"])
+        arch_d["group_hidden"] = {k: tuple(v) for k, v
+                                  in arch_d["group_hidden"].items()}
+        arch = ArchConfig(**arch_d)
+        ablation = AblationFlags(**manifest["ablation"])
+        seed, names, digest, n_values = (manifest[k] for k in (
+            "seed", "param_names", "bin_sha256", "n_values"))
+    except (KeyError, TypeError, AttributeError) as err:
+        raise ValueError(f"checkpoint manifest {json_path} is unreadable: "
+                         f"{err!r}") from None
+    check_int(seed, "seed", 0)
+    model = NkmModel(arch, seed=seed, ablation=ablation)
+    if model.params.names() != names:
         raise ValueError("checkpoint parameter names do not match the architecture")
     with open(bin_path, "rb") as fh:
         raw = fh.read()
-    if hashlib.sha256(raw).hexdigest() != manifest["bin_sha256"]:
+    if hashlib.sha256(raw).hexdigest() != digest:
         raise ValueError(f"checkpoint binary {bin_path} does not match the "
                          "sha256 in its manifest")
     vec = np.frombuffer(raw, dtype="<f8")
-    if vec.size != manifest["n_values"]:
+    if vec.size != n_values:
         raise ValueError(f"checkpoint binary has {vec.size} values, manifest "
-                         f"says {manifest['n_values']}")
+                         f"says {n_values}")
     model.params.from_vector(vec)
     return model, manifest

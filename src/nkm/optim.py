@@ -4,11 +4,11 @@
 applies them from its own best-epoch record."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import check_int, check_number
 from .tensor import Tensor
 
 
@@ -174,31 +174,15 @@ class OptimConfig:
     early_stop_patience: int = 20
 
     def __post_init__(self):
-        for name in ("lr", "eps", "weight_decay", "clip_norm", "batch_size",
-                     "epochs", "plateau_factor", "plateau_patience",
-                     "early_stop_patience"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, "
-                                 f"got {getattr(self, name)!r}")
-        if not (0.0 < self.lr):
-            raise ValueError("lr must be positive")
-        b1, b2 = self.betas
-        if not (0.0 <= b1 < 1.0 and 0.0 <= b2 < 1.0):
-            raise ValueError("betas must lie in [0, 1)")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise ValueError("batch_size and epochs must be >= 1")
-        if not (0.0 < self.eps):
-            raise ValueError("eps must be positive")
-        if not (0.0 <= self.weight_decay):
-            raise ValueError("weight_decay must be >= 0")
-        if not (0.0 < self.clip_norm):
-            raise ValueError("clip_norm must be positive")
-        if not (0.0 < self.plateau_factor <= 1.0):
-            raise ValueError("plateau_factor must lie in (0, 1]")
-        if self.plateau_patience < 0:
-            raise ValueError("plateau_patience must be >= 0")
-        if self.early_stop_patience < 0:
-            raise ValueError("early_stop_patience must be >= 0")
+        for name in ("lr", "eps", "clip_norm"):
+            check_number(getattr(self, name), name, 0, lo_open=True)
+        check_number(self.weight_decay, "weight_decay", 0)
+        for i, beta in enumerate(self.betas):
+            check_number(beta, f"betas[{i}]", 0, 1, hi_open=True)
+        check_number(self.plateau_factor, "plateau_factor", 0, 1, lo_open=True)
+        for name, lo in (("batch_size", 1), ("epochs", 1),
+                         ("plateau_patience", 0), ("early_stop_patience", 0)):
+            check_int(getattr(self, name), name, lo)
 
 
 def _runs(spans: list[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -22,22 +22,13 @@ cohort's table is the same byte for byte as that of a per-visit loop.
 """
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import schema
+from .checks import check_choice, check_int, check_number
 from .data import VisitTable
-
-
-def _finite(v) -> bool:
-    return isinstance(v, numbers.Real) and math.isfinite(v)
-
-
-def _integer(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass
@@ -55,36 +46,25 @@ class SyntheticConfig:
     observed_rank: int | None = None   # None: every latent dim is observed
 
     def __post_init__(self):
-        # a float count dies inside numpy, a string on the first comparison
-        for name in ("n_subjects", "visits_per_subject", "latent_dim",
-                     "n_noise_mri", "observed_rank"):
-            v = getattr(self, name)
-            if not (_integer(v) or (name == "observed_rank" and v is None)):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        if self.n_subjects < 1 or self.visits_per_subject < 1:
-            raise ValueError("n_subjects and visits_per_subject must be >= 1")
-        if self.latent_dim < 1 or self.latent_dim > schema.N_FEATURES:
+        for name, lo in (("n_subjects", 1), ("visits_per_subject", 1),
+                         ("latent_dim", 1), ("n_noise_mri", 0)):
+            check_int(getattr(self, name), name, lo)
+        if self.latent_dim > schema.N_FEATURES:
             raise ValueError(f"latent_dim must be in [1, {schema.N_FEATURES}]")
-        # a negative sd flips the noise's sign and still writes a cohort; a
-        # non-finite or non-numeric value fills the table with NaN or dies
-        # inside numpy
-        for name in ("noise_sd", "drift_sd", "target_noise_sd"):
-            v = getattr(self, name)
-            if name == "target_noise_sd" and v is None:
-                continue
-            if not (_finite(v) and v >= 0):
-                raise ValueError(f"{name} must be a finite number >= 0")
-        if not _finite(self.base_drift_scale):
-            raise ValueError("base_drift_scale must be a finite number")
-        if not (_finite(self.missing_rate) and 0.0 <= self.missing_rate < 1.0):
-            raise ValueError("missing_rate must be a number in [0, 1)")
-        if self.observation not in ("tanh", "identity"):
-            raise ValueError("observation must be 'tanh' or 'identity'")
-        if not (0 <= self.n_noise_mri <= len(schema.GROUP_COLUMNS["mri"])):
+        # a negative sd flips the noise's sign and still writes a cohort
+        check_number(self.noise_sd, "noise_sd", 0)
+        check_number(self.drift_sd, "drift_sd", 0)
+        if self.target_noise_sd is not None:
+            check_number(self.target_noise_sd, "target_noise_sd", 0)
+        check_number(self.base_drift_scale, "base_drift_scale")
+        check_number(self.missing_rate, "missing_rate", 0, 1, hi_open=True)
+        check_choice(self.observation, "observation", ("tanh", "identity"))
+        if self.n_noise_mri > len(schema.GROUP_COLUMNS["mri"]):
             raise ValueError("n_noise_mri out of range")
-        if self.observed_rank is not None and not (
-                1 <= self.observed_rank <= self.latent_dim):
-            raise ValueError("observed_rank must be in [1, latent_dim]")
+        if self.observed_rank is not None:
+            check_int(self.observed_rank, "observed_rank", 1)
+            if self.observed_rank > self.latent_dim:
+                raise ValueError("observed_rank must be in [1, latent_dim]")
 
 
 def _stable_matrix(rng: np.random.Generator, d: int, norm: float = 0.9) -> np.ndarray:

@@ -28,6 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import schema
+from .checks import check_choice, check_number
 from .data import FoldData, VisitTable, Windows, materialize_fold, subject_kfold
 from .edmd import EdmdConfig, EdmdModel
 from .linalg import (pinv, spectral_norm_differentiable,
@@ -46,14 +47,9 @@ class LossConfig:
     rho: float = 0.95
 
     def __post_init__(self):
-        for name in ("lambda_koop", "eta", "rho"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, "
-                                 f"got {getattr(self, name)!r}")
-        if self.lambda_koop < 0 or self.eta < 0:
-            raise ValueError("lambda_koop and eta must be >= 0")
-        if not (0.0 < self.rho):
-            raise ValueError("rho must be positive")
+        check_number(self.lambda_koop, "lambda_koop", 0)
+        check_number(self.eta, "eta", 0)
+        check_number(self.rho, "rho", 0, lo_open=True)
 
 
 def composite_loss(model: NkmModel, X: np.ndarray, y: np.ndarray,
@@ -160,10 +156,16 @@ def _transition_step_size(z: np.ndarray, B: int, lambda_koop: float) -> float:
 TRAIN_MODES = ("joint", "alternating")
 
 
-def check_mode(mode: str, name: str = "mode") -> None:
-    if mode not in TRAIN_MODES:
-        raise ValueError(f"{name} must be "
-                         f"{' or '.join(map(repr, TRAIN_MODES))}, got {mode!r}")
+def check_setups(setups: list[str], name: str = "setups"
+                 ) -> list[AblationFlags]:
+    """The flags of each ablation setup in `setups`, refusing an empty list
+    and a name that is unknown or given twice."""
+    if not setups:
+        raise ValueError(f"{name} must name at least one setup")
+    for setup in setups:
+        if setups.count(setup) > 1:
+            raise ValueError(f"{name} name {setup!r} more than once")
+    return [AblationFlags.from_name(setup) for setup in setups]
 
 
 @dataclass
@@ -224,7 +226,7 @@ def train(model: NkmModel, train_windows: Windows, val_windows: Windows,
     mean loss parts and pre-clip gradient norm over its steps, the step
     count, the validation loss and the lr the epoch ran with.
     Deterministic given (seed, data)."""
-    check_mode(mode)
+    check_choice(mode, "mode", TRAIN_MODES)
     if len(train_windows) == 0 or len(val_windows) == 0:
         raise ValueError("train and val window sets must be non-empty")
     if len(train_windows.subjects) != len(train_windows):
@@ -468,11 +470,6 @@ def run_ablation(table: VisitTable, setups: list[str] | None = None,
     keyword argument is passed through to run_cv. The setups are checked
     before any is run: at least one, each named once."""
     setups = list(ABLATION_SETUPS) if setups is None else list(setups)
-    if not setups:
-        raise ValueError("setups must name at least one setup")
-    for name in setups:
-        if setups.count(name) > 1:
-            raise ValueError(f"setups name {name!r} more than once")
-    flags = [AblationFlags.from_name(name) for name in setups]
+    flags = check_setups(setups)
     return [run_cv(table, ablation=f, setup_name=name, **cv_kwargs)
             for name, f in zip(setups, flags)]

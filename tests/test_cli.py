@@ -1,6 +1,7 @@
 """Exit codes, config precedence, and output files of the command line."""
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -109,6 +110,31 @@ class TestExitCodes:
         assert rc == 1
         assert ("nkm: train.mode must be 'joint' or 'alternating', "
                 "got 'bogus'") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("train", "train.val_frac", "0"), ("cv", "cv.k", "1"),
+        ("edmd", "cv.k", "1"), ("edmd", "train.val_frac", "1.5"),
+        ("ablate", "ablate.setups", '["full","nope"]'),
+        ("importance", "importance.runs", "0"),
+        ("importance", "importance.test_frac", "1"),
+        ("verify-descent", "descent.iters", "0"),
+        ("verify-descent", "descent.theta_step", "0"),
+        ("verify-descent", "descent.k_step", "-1"),
+        ("verify-bound", "bound.tau_max", "0"),
+        ("export-latents", "export.rollout_steps", "-1")])
+    def test_bad_run_key_is_refused_before_the_data(
+            self, tmp_path, capsys, monkeypatch, command, key, value):
+        # these were refused after the data was loaded: verify-bound trained
+        # a model for over 4 s before it refused tau_max=0
+        import nkm.cli as cli
+
+        def data_work(*a, **kw):
+            raise AssertionError(f"{key}={value} reached the data")
+
+        monkeypatch.setattr(cli, "_load_table", data_work)
+        rc, _ = run(tmp_path, "o", command, "--set", f"{key}={value}")
+        assert rc == 1
+        assert f"(config key {key})" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [
         ("model.n_heads", "2.0"), ("model.d_z", "8.0"),
@@ -678,13 +704,25 @@ class _DataWork(Exception):
     """Raised by the patched loaders; `main` does not catch it."""
 
 
+# run keys a library function reads after the data is loaded: the lower
+# bound of each count, and the check of the others
+_RUN_COUNTS = {"cv.k": 2, "importance.runs": 1, "descent.iters": 1,
+               "bound.tau_max": 1, "export.rollout_steps": 0}
+_RUN_NUMBERS = {
+    "train.val_frac": lambda v: 0 < v < 1,
+    "importance.test_frac": lambda v: 0 < v < 1,
+    "descent.theta_step": lambda v: math.isfinite(v) and v > 0,
+    "descent.k_step": lambda v: math.isfinite(v) and v > 0}
+
+
 def _typed_keys(command: str) -> list[str]:
-    """The keys of `command` that a typed config reads."""
+    """The keys of `command` that a typed config or a run check reads."""
     from nkm.config import COMMAND_DEFAULTS
     table = COMMAND_DEFAULTS[command]
     return [key for key in sorted(table)
-            if key.startswith(("model.", "optim.", "loss.", "edmd.", "data.",
-                               "bound.source", "train.mode"))
+            if (key.startswith(("model.", "optim.", "loss.", "edmd.", "data.",
+                                "bound.source", "train.mode", "ablate.setups"))
+                or key in _RUN_COUNTS or key in _RUN_NUMBERS)
             and key != "data.path"
             and not (key == "data.window" and "model.scale" not in table)]
 
@@ -694,7 +732,7 @@ def _accepted(key: str, cfg: dict) -> bool:
     model included: the oracle for what may reach the data."""
     from nkm.config import arch_from_config, from_config
     from nkm.edmd import EdmdConfig
-    from nkm.model import AblationFlags, NkmModel
+    from nkm.model import ABLATION_SETUPS, AblationFlags, NkmModel
     from nkm.optim import OptimConfig
     from nkm.synthetic import SyntheticConfig
     from nkm.training import TRAIN_MODES, LossConfig
@@ -712,6 +750,16 @@ def _accepted(key: str, cfg: dict) -> bool:
             return cfg[key] in ("nkm", "edmd")
         elif key == "train.mode":
             return cfg[key] in TRAIN_MODES
+        elif key == "ablate.setups":
+            names = cfg[key]
+            return (bool(names) and all(n in ABLATION_SETUPS for n in names)
+                    and len(set(names)) == len(names))
+        elif key in _RUN_COUNTS:
+            lo = _RUN_COUNTS[key]
+            return type(cfg[key]) is int and cfg[key] >= lo
+        elif key in _RUN_NUMBERS:
+            return (type(cfg[key]) in (int, float)
+                    and _RUN_NUMBERS[key](cfg[key]))
         else:
             from_config(SyntheticConfig, cfg, "data")
     except Exception:

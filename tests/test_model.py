@@ -565,6 +565,39 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="format_version 2 .* format_version 3"):
             load_checkpoint(stem)
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda m: m["ablation"].update(no_control="yes"),
+        lambda m: m["arch"].update(extra=1),
+        lambda m: m["arch"].pop("groups"),
+        lambda m: m.pop("seed"),
+        lambda m: m.pop("n_values"),
+        lambda m: m["arch"].update(group_hidden=[[12, 8]]),
+        lambda m: m["arch"]["group_hidden"].update(mri=[24.5, 12]),
+        lambda m: m.update(seed="0"),
+        lambda m: m.update(ablation=["no_control"])],
+        ids=["flag-string", "extra-arch-key", "no-groups", "no-seed",
+             "no-n-values", "hidden-list", "hidden-float", "seed-string",
+             "ablation-list"])
+    def test_unreadable_manifest_refused_with_value_error(self, tmp_path,
+                                                          corrupt):
+        # these raised TypeError, KeyError or AttributeError, which the
+        # command line does not catch, so `nkm eval` ended in a traceback
+        stem = str(tmp_path / "ckpt")
+        json_path, _ = save_checkpoint(NkmModel(tiny_arch(), seed=0), stem)
+        manifest = json.loads(open(json_path).read())
+        corrupt(manifest)
+        open(json_path, "w").write(json.dumps(manifest))
+        with pytest.raises(ValueError):
+            load_checkpoint(stem)
+
+    def test_manifest_that_is_not_an_object_refused(self, tmp_path):
+        stem = str(tmp_path / "ckpt")
+        json_path, _ = save_checkpoint(NkmModel(tiny_arch(), seed=0), stem)
+        manifest = json.loads(open(json_path).read())
+        open(json_path, "w").write(json.dumps([manifest]))
+        with pytest.raises(ValueError, match="not a JSON object"):
+            load_checkpoint(stem)
+
     def test_version_one_checkpoint_rejected(self, tmp_path):
         # version 1 stored one (d_z, d_k) matrix per head and projection
         m = NkmModel(tiny_arch(), seed=0)
