@@ -9,10 +9,8 @@ the plot-ready trajectory and importance tables.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +29,7 @@ from .training import (LossConfig, composite_loss, evaluate_predictions,
 IMPORTANCE_METHOD = ("permutation importance: mean Pearson-r drop across the "
                      "three scores when one feature column is shuffled across "
                      "test windows; feature-attention weights reported alongside")
+LATENT_COLUMNS = ["subject_id", "window_index", "step", "pc1", "pc2", "label"]
 _MAX_HALVINGS = 40   # step halvings verify_descent tries before rejecting a step
 
 
@@ -76,12 +75,6 @@ class BoundReport:
     bound: list[float]
     limit: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {"eps_tilde": self.eps_tilde, "norm_k": self.norm_k,
-                "lambda_max": self.lambda_max, "taus": self.taus,
-                "empirical": self.empirical, "bound": self.bound,
-                "limit": self.limit, "passed": self.passed}
 
 
 def _bound_runs(model: NkmModel | EdmdModel, table: VisitTable
@@ -167,13 +160,6 @@ class DescentReport:
     k_violations: int
     final_theta_step: float
     final_k_step: float
-
-    def to_dict(self) -> dict:
-        return {"trace": self.trace, "passed": self.passed,
-                "theta_violations": self.theta_violations,
-                "k_violations": self.k_violations,
-                "final_theta_step": self.final_theta_step,
-                "final_k_step": self.final_k_step}
 
 
 def verify_descent(model: NkmModel, windows: Windows,
@@ -303,8 +289,9 @@ def export_latents(model: NkmModel, windows: Windows,
                    train_windows: Windows | None = None,
                    rollout_steps: int = 5,
                    labels: dict[str, str] | None = None) -> list[dict]:
-    """Trajectory table: one row per (window, step), projected to the top-2
-    principal axes of the training latents."""
+    """Trajectory table: one row per (window, step), keyed by
+    LATENT_COLUMNS, projected to the top-2 principal axes of the training
+    latents."""
     ref = train_windows if train_windows is not None else windows
     mean, proj = fit_pca(rollout_latents(model, ref, 0)[:, 0, :])
     traj = rollout_latents(model, windows, rollout_steps)
@@ -320,17 +307,6 @@ def export_latents(model: NkmModel, windows: Windows,
     return rows
 
 
-def write_latents_csv(path: str | Path, rows: list[dict]) -> None:
-    cols = ["subject_id", "window_index", "step", "pc1", "pc2", "label"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(cols)
-        for r in rows:
-            writer.writerow([r["subject_id"], r["window_index"], r["step"],
-                             format(r["pc1"], ".17g"), format(r["pc2"], ".17g"),
-                             r["label"]])
-
-
 # ---- feature importance ----------------------------------------------------
 
 @dataclass
@@ -343,14 +319,6 @@ class ImportanceReport:
     beta_mean: dict[str, float]
     runs: int
     seed: int
-
-    def to_dict(self) -> dict:
-        return {"method": self.method, "features": self.features,
-                "per_target": self.per_target,
-                "mean_importance": self.mean_importance,
-                "top10_frequency": self.top10_frequency,
-                "beta_mean": self.beta_mean, "runs": self.runs,
-                "seed": self.seed}
 
 
 def feature_importance(table: VisitTable, runs: int = 50, seed: int = 0,

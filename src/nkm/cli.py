@@ -12,23 +12,24 @@ metrics.csv / report.json (plus command-specific files). Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import schema
-from .analysis import (export_latents, feature_importance, verify_bound,
-                       verify_descent, write_latents_csv)
+from .analysis import (LATENT_COLUMNS, export_latents, feature_importance,
+                       verify_bound, verify_descent)
 from .checks import check_choice, check_int, check_number
 from .config import (COMMAND_DEFAULTS, ConfigError, arch_from_config,
                      build_config, from_config, load_config_file,
                      parse_override, write_effective_config)
 from .data import (Preprocessor, Windows, build_windows, load_visits_csv,
-                   materialize_fold, train_val_split, write_visits_csv)
+                   materialize_fold, train_val_split, write_csv,
+                   write_visits_csv)
 from .edmd import EdmdConfig, EdmdModel
 from .model import AblationFlags, NkmModel, load_checkpoint, save_checkpoint
 from .optim import OptimConfig
@@ -59,18 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ---- shared plumbing -------------------------------------------------------
 
-def _fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_metrics_csv(path: Path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(METRIC_COLUMNS)
-        for r in rows:
-            w.writerow([r["setup"], r.get("fold", 0), r["target"],
-                        _fmt(r["pearson"]), _fmt(r["spearman"]),
-                        _fmt(r["mae"]), _fmt(r["rmse"])])
+    """One line per EvalMetrics row; a row of no fold (train, eval) is fold 0."""
+    write_csv(path, METRIC_COLUMNS,
+              ([r.get(c, 0) for c in METRIC_COLUMNS] for r in rows))
 
 
 def _write_report(out_dir: Path, report: dict) -> None:
@@ -180,28 +173,24 @@ def _check_run_keys(cfg: dict) -> None:
 
 
 def _cv_summary(res: CvResult) -> dict:
-    per_target = {}
-    for t in schema.TARGET_COLUMNS:
-        for metric in ("pearson", "spearman", "mae", "rmse"):
-            vals = [getattr(f.metrics, metric)[t] for f in res.folds]
-            per_target.setdefault(t, {})[f"{metric}_mean"] = float(np.mean(vals))
+    """Per metric, the mean and std over folds of each fold's mean over the
+    targets, and per target the mean and std over folds."""
+    targets = schema.TARGET_COLUMNS
+    summary = {"setup": res.setup, "folds": len(res.folds)}
+    per_target: dict = {t: {} for t in targets}
+    for metric in ("pearson", "spearman", "mae", "rmse"):
+        by_fold = [getattr(f.metrics, metric) for f in res.folds]
+        for t in targets:
+            vals = [m[t] for m in by_fold]
+            per_target[t][f"{metric}_mean"] = float(np.mean(vals))
             per_target[t][f"{metric}_std"] = float(np.std(vals))
-    fold_r = res.fold_mean_pearson()
-    fold_mae = [f.metrics.mean_mae for f in res.folds]
-    fold_rmse = [f.metrics.mean_rmse for f in res.folds]
-    fold_rho = [float(np.mean([f.metrics.spearman[t]
-                               for t in schema.TARGET_COLUMNS]))
-                for f in res.folds]
-    return {"setup": res.setup, "folds": len(res.folds),
-            "mean_pearson": float(np.mean(fold_r)),
-            "std_pearson": float(np.std(fold_r)),
-            "mean_spearman": float(np.mean(fold_rho)),
-            "std_spearman": float(np.std(fold_rho)),
-            "mean_mae": float(np.mean(fold_mae)),
-            "std_mae": float(np.std(fold_mae)),
-            "mean_rmse": float(np.mean(fold_rmse)),
-            "std_rmse": float(np.std(fold_rmse)),
-            "per_fold_mean_pearson": fold_r, "per_target": per_target}
+        fold_means = [float(np.mean([m[t] for t in targets])) for m in by_fold]
+        summary[f"mean_{metric}"] = float(np.mean(fold_means))
+        summary[f"std_{metric}"] = float(np.std(fold_means))
+        if metric == "pearson":
+            summary["per_fold_mean_pearson"] = fold_means
+    summary["per_target"] = per_target
+    return summary
 
 
 def _print_table_row(summary: dict) -> None:
@@ -215,6 +204,7 @@ def _print_table_row(summary: dict) -> None:
 # ---- command handlers ------------------------------------------------------
 
 def _cmd_synth(cfg: dict, out_dir: Path) -> None:
+    check_int(cfg["data.window"], "w", 1)     # build_windows's check, up front
     table, sidecar = generate_synthetic(from_config(SyntheticConfig, cfg, "data"),
                                         cfg["seed"])
     write_visits_csv(table, out_dir / "cohort.csv")
@@ -240,7 +230,7 @@ def _cmd_train(cfg: dict, out_dir: Path) -> None:
     _write_metrics_csv(out_dir / "metrics.csv",
                        metrics.rows(cfg["model.ablation"]))
     _write_report(out_dir, {"train": result.report(),
-                            "val_metrics": metrics.to_dict(),
+                            "val_metrics": asdict(metrics),
                             "preprocessor": {"file": pre_file,
                                              "train_rows": pre_rows}})
     print(f"best val loss {result.best_val:.6f} at epoch {result.best_epoch}; "
@@ -255,7 +245,7 @@ def _cmd_eval(cfg: dict, out_dir: Path) -> None:
     setup = next((k for k, v in flags.items() if v), "full")
     _write_metrics_csv(out_dir / "metrics.csv", metrics.rows(setup))
     _write_report(out_dir, {"windows": len(windows),
-                            "metrics": metrics.to_dict()})
+                            "metrics": asdict(metrics)})
     print(f"evaluated {len(windows)} windows; "
           f"mean r={metrics.mean_pearson:.4f}")
 
@@ -328,7 +318,7 @@ def _cmd_verify_bound(cfg: dict, out_dir: Path) -> None:
                               fold.table.subset_subjects(fold.test_subjects),
                               tau_max=tau_max)
         meta = {"source": "nkm", "held_out_subjects": len(fold.test_subjects)}
-    _write_report(out_dir, {**meta, **report.to_dict()})
+    _write_report(out_dir, {**meta, **asdict(report)})
     print(f"bound check ({meta['source']}): "
           f"{'PASS' if report.passed else 'FAIL'}  "
           f"eps={report.eps_tilde:.6g} |K|={report.norm_k:.6g} "
@@ -351,13 +341,13 @@ def _cmd_verify_descent(cfg: dict, out_dir: Path) -> None:
                                  loss_cfg, iters=cfg["descent.iters"],
                                  theta_step=cfg["descent.theta_step"],
                                  k_step=cfg["descent.k_step"])
-    report = {"descent": main_report.to_dict()}
+    report = {"descent": asdict(main_report)}
     passed = main_report.passed
     if cfg["descent.negative_control"]:
         nc = verify_descent(NkmModel(arch, seed=cfg["seed"]), batch, loss_cfg,
                             iters=cfg["descent.iters"], theta_step=1e6,
                             backtracking=False)
-        report["negative_control"] = nc.to_dict()
+        report["negative_control"] = asdict(nc)
         passed = passed and not nc.passed
         print(f"negative control: {'diverged as expected' if not nc.passed else 'UNEXPECTEDLY PASSED'}")
     report["passed"] = passed
@@ -376,16 +366,14 @@ def _cmd_importance(cfg: dict, out_dir: Path) -> None:
                                 optim_cfg=optim_cfg, loss_cfg=loss_cfg,
                                 train_models=cfg["importance.train"],
                                 test_frac=cfg["importance.test_frac"])
-    _write_report(out_dir, report.to_dict())
-    with open(out_dir / "metrics.csv", "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        targets = schema.TARGET_COLUMNS
-        w.writerow(["feature", "mean_importance", "top10_frequency"]
-                   + [f"importance_{t}" for t in targets])
-        for i, name in enumerate(report.features):
-            w.writerow([name, _fmt(report.mean_importance[i]),
-                        _fmt(report.top10_frequency[i])]
-                       + [_fmt(report.per_target[t][i]) for t in targets])
+    _write_report(out_dir, asdict(report))
+    targets = schema.TARGET_COLUMNS
+    write_csv(out_dir / "metrics.csv",
+              ["feature", "mean_importance", "top10_frequency"]
+              + [f"importance_{t}" for t in targets],
+              ([name, report.mean_importance[i], report.top10_frequency[i]]
+               + [report.per_target[t][i] for t in targets]
+               for i, name in enumerate(report.features)))
     top = int(np.argmax(report.mean_importance))
     print(f"{report.runs} runs; top feature {report.features[top]} "
           f"(mean r drop {report.mean_importance[top]:.4f})")
@@ -400,7 +388,8 @@ def _cmd_export_latents(cfg: dict, out_dir: Path) -> None:
         fold, result = _fit_nkm(cfg, hold_out=True)
         rows = export_latents(result.model, fold.test,
                               train_windows=fold.train, rollout_steps=steps)
-    write_latents_csv(out_dir / "latents.csv", rows)
+    write_csv(out_dir / "latents.csv", LATENT_COLUMNS,
+              ([r[c] for c in LATENT_COLUMNS] for r in rows))
     _write_report(out_dir, {"rows": len(rows), "rollout_steps": steps})
     print(f"wrote {len(rows)} trajectory rows to {out_dir / 'latents.csv'}")
 

@@ -57,15 +57,13 @@ _DATA_KEYS = {
     **_COHORT_KEYS,
 }
 
+# ArchConfig fields a model.* key overrides; None keeps the scale default
+_ARCH_OVERRIDES = ("d_z", "n_heads", "dropout", "n_refine_blocks",
+                   "n_decoder_blocks", "sigma_init", "rho_init")
+
 _MODEL_KEYS = {
     "model.scale": "desk",          # "desk" | "full"
-    "model.d_z": None,              # None -> scale default
-    "model.n_heads": None,
-    "model.dropout": None,
-    "model.n_refine_blocks": None,
-    "model.n_decoder_blocks": None,
-    "model.sigma_init": None,
-    "model.rho_init": None,
+    **{f"model.{field}": None for field in _ARCH_OVERRIDES},
 }
 
 _ABLATION_KEYS = {"model.ablation": "full"}
@@ -210,8 +208,7 @@ def arch_from_config(cfg: dict) -> ArchConfig:
     check_choice(cfg["model.scale"], "model.scale", ("desk", "full"))
     base = full_arch() if cfg["model.scale"] == "full" else ArchConfig()
     kw = {"window": cfg["data.window"]}
-    for field in ("d_z", "n_heads", "dropout", "n_refine_blocks",
-                  "n_decoder_blocks", "sigma_init", "rho_init"):
+    for field in _ARCH_OVERRIDES:
         if cfg[f"model.{field}"] is not None:
             kw[field] = cfg[f"model.{field}"]
     return replace(base, **kw)

@@ -124,21 +124,28 @@ def load_visits_csv(path: str) -> VisitTable:
     return table
 
 
-def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return ""
-    return format(x, ".17g")
+def _cell(v):
+    """A float to 17 significant digits, which read back bit-exact; NaN as
+    the empty cell that `_parse_cell` reads back as missing; anything else
+    as it is."""
+    if isinstance(v, float):
+        return "" if math.isnan(v) else format(v, ".17g")
+    return v
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """The one CSV writer of every command output: `header`, then one line
+    per row, each cell written by `_cell`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_cell(v) for v in row] for row in rows)
 
 
 def write_visits_csv(table: VisitTable, path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(schema.CSV_HEADER)
-        for i in range(len(table)):
-            row = [table.subject_ids[i], str(int(table.visits[i]))]
-            row += [_fmt(v) for v in table.X[i]]
-            row += [_fmt(v) for v in table.Y[i]]
-            writer.writerow(row)
+    write_csv(path, schema.CSV_HEADER,
+              ([sid, int(visit), *x, *y] for sid, visit, x, y
+               in zip(table.subject_ids, table.visits, table.X, table.Y)))
 
 
 @dataclass
@@ -419,9 +426,13 @@ class Preprocessor:
         missing = {"k", "std_floor", "mean", "std", "train_std"} - set(state)
         if missing:
             raise ValueError(f"preprocessor file {path} lacks {sorted(missing)}")
-        k, mean, std, T = (state[key] for key in ("k", "mean", "std", "train_std"))
+        k, floor, mean, std, T = (state[key] for key in
+                                  ("k", "std_floor", "mean", "std", "train_std"))
         nf = schema.N_FEATURES
         for usable, need in (
+                (floor.shape == () and floor.dtype.kind in "iuf"
+                 and np.isfinite(floor) and floor >= 0,
+                 "std_floor must be a finite number >= 0"),
                 (mean.shape == (nf,) and np.all(np.isfinite(mean)),
                  f"mean must be {nf} finite values"),
                 (std.shape == (nf,) and np.all(np.isfinite(std) & (std > 0)),
@@ -432,7 +443,7 @@ class Preprocessor:
                  "k must be an integer >= 1")):
             if not usable:
                 raise ValueError(f"preprocessor file {path}: {need}")
-        pre = cls(k=int(k), std_floor=float(state["std_floor"]))
+        pre = cls(k=int(k), std_floor=float(floor))
         pre.mean_, pre.std_, pre.train_std_ = mean, std, T
         return pre
 

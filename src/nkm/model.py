@@ -500,8 +500,7 @@ class NkmModel:
 # ---- checkpointing ------------------------------------------------------
 
 def save_checkpoint(model: NkmModel, stem: str,
-                    history: list[dict] | None = None,
-                    extra: dict | None = None) -> tuple[str, str]:
+                    history: list[dict] | None = None) -> tuple[str, str]:
     """Write `<stem>.json` (manifest) and `<stem>.bin` (little-endian float64,
     declaration order, its sha256 in the manifest). Returns the two paths."""
     raw = model.params.to_vector().astype("<f8").tobytes()
@@ -516,8 +515,6 @@ def save_checkpoint(model: NkmModel, stem: str,
         "bin_sha256": hashlib.sha256(raw).hexdigest(),
         "history": history if history is not None else [],
     }
-    if extra:
-        manifest.update(extra)
     json_path, bin_path = stem + ".json", stem + ".bin"
     with open(json_path, "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -23,7 +23,7 @@ and the best epoch's parameters are restored at the end.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -346,22 +346,11 @@ class EvalMetrics:
     def mean_pearson(self) -> float:
         return float(np.mean([self.pearson[t] for t in self.targets]))
 
-    @property
-    def mean_mae(self) -> float:
-        return float(np.mean([self.mae[t] for t in self.targets]))
-
-    @property
-    def mean_rmse(self) -> float:
-        return float(np.mean([self.rmse[t] for t in self.targets]))
-
     def rows(self, setup: str) -> list[dict]:
         return [{"setup": setup, "target": t,
                  "pearson": self.pearson[t], "spearman": self.spearman[t],
                  "mae": self.mae[t], "rmse": self.rmse[t]}
                 for t in self.targets]
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def evaluate_predictions(y_true: np.ndarray, y_pred: np.ndarray,

@@ -2,15 +2,18 @@
 from __future__ import annotations
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from nkm.analysis import (BoundReport, _bound_runs, _bound_states, bound_limit,
-                          export_latents, feature_importance, fit_pca,
-                          geometric_bound, measure_eps, rollout_latents,
-                          verify_bound, verify_descent, write_latents_csv)
-from nkm.data import VisitTable, Windows, build_windows, materialize_fold
+from nkm.analysis import (LATENT_COLUMNS, BoundReport, _bound_runs,
+                          _bound_states, bound_limit, export_latents,
+                          feature_importance, fit_pca, geometric_bound,
+                          measure_eps, rollout_latents, verify_bound,
+                          verify_descent)
+from nkm.data import (VisitTable, Windows, build_windows, materialize_fold,
+                      write_csv)
 from nkm.edmd import EdmdConfig, EdmdModel
 from nkm.model import AblationFlags, ArchConfig, NkmModel, full_arch
 from nkm.optim import OptimConfig
@@ -256,7 +259,7 @@ class TestVerifyBound:
 
     def test_report_round_trips_to_dict(self):
         r = BoundReport(0.1, 0.5, 0.4, [1], [0.1], [0.1], 0.2, True)
-        d = r.to_dict()
+        d = asdict(r)
         assert d["passed"] is True and d["taus"] == [1]
 
 
@@ -361,7 +364,8 @@ class TestLatentExport:
         rows = export_latents(model, windows, rollout_steps=2,
                               labels={windows.subjects[0]: "grp"})
         path = tmp_path / "latents.csv"
-        write_latents_csv(path, rows)
+        write_csv(path, LATENT_COLUMNS, ([r[c] for c in LATENT_COLUMNS]
+                                         for r in rows))
         lines = path.read_text().splitlines()
         assert lines[0] == "subject_id,window_index,step,pc1,pc2,label"
         assert len(lines) == len(rows) + 1
@@ -453,7 +457,7 @@ class TestFeatureImportance:
         assert list(report.beta_mean) == list(groups)
         given = feature_importance(table, runs=1, seed=0, arch=arch,
                                    train_models=False)
-        assert report.to_dict() == given.to_dict()
+        assert asdict(report) == asdict(given)
 
     def test_report_structure(self):
         table = long_cohort(seed=10, n_subjects=12, visits=5)
@@ -466,7 +470,7 @@ class TestFeatureImportance:
         assert set(report.beta_mean) == set(tiny_arch().groups)
         assert all(math.isfinite(v) for v in report.mean_importance)
         assert "permutation" in report.method
-        d = report.to_dict()
+        d = asdict(report)
         assert d["runs"] == 2 and len(d["top10_frequency"]) == 44
 
     def test_deterministic_given_seed(self):

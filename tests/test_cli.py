@@ -188,6 +188,17 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_synth_refuses_the_window_before_writing_the_cohort(
+            self, tmp_path, capsys, window):
+        # it wrote cohort.csv and sidecar.json, then build_windows refused
+        rc, out = run(tmp_path, "o", "synth", "--set", f"data.window={window}")
+        assert rc == 1
+        assert (f"nkm: w must be an integer >= 1, got {window}"
+                in capsys.readouterr().err)
+        assert not (out / "cohort.csv").exists()
+        assert not (out / "sidecar.json").exists()
+
     def test_missing_input_data_file(self, tmp_path, capsys):
         rc, _ = run(tmp_path, "o", "train",
                     "--set", f"data.path={tmp_path / 'nope.csv'}")
@@ -393,6 +404,33 @@ class TestCvAndAblate:
         assert rc == 1
         assert f"nkm: {message}" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+
+def test_cv_summary_matches_numpy_for_every_key():
+    from nkm.cli import _cv_summary
+    from nkm.schema import TARGET_COLUMNS
+    from nkm.training import CvResult, EvalMetrics, FoldOutcome
+    metrics = ("pearson", "spearman", "mae", "rmse")
+    values = np.random.default_rng(4).random((2, len(metrics),
+                                              len(TARGET_COLUMNS)))
+    folds = [FoldOutcome(f, EvalMetrics(
+        list(TARGET_COLUMNS),
+        *({t: float(v) for t, v in zip(TARGET_COLUMNS, row)} for row in fold),
+        {t: False for t in TARGET_COLUMNS})) for f, fold in enumerate(values)]
+    got = _cv_summary(CvResult("hand", folds))
+
+    want = {"setup": "hand", "folds": 2, "per_target": {}}
+    for j, metric in enumerate(metrics):
+        table = values[:, j, :]                 # (fold, target)
+        fold_means = table.mean(axis=1)
+        want[f"mean_{metric}"] = float(fold_means.mean())
+        want[f"std_{metric}"] = float(fold_means.std())
+        for i, t in enumerate(TARGET_COLUMNS):
+            want["per_target"].setdefault(t, {}).update({
+                f"{metric}_mean": float(table[:, i].mean()),
+                f"{metric}_std": float(table[:, i].std())})
+    want["per_fold_mean_pearson"] = values[:, 0, :].mean(axis=1).tolist()
+    assert got == want
+
 
 class TestEdmdCommand:
     def test_edmd_cv(self, tmp_path, capsys):

@@ -1,13 +1,15 @@
 """Visit table IO, windowing, folds, standardize+impute oracle cases."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from nkm import schema
 from nkm.data import (Preprocessor, VisitTable, build_windows, load_visits_csv,
                       materialize_fold, subject_kfold, train_val_split,
-                      write_visits_csv)
+                      write_csv, write_visits_csv)
 
 
 def make_table(rows):
@@ -86,6 +88,16 @@ class TestCsv:
         back = load_visits_csv(str(p))
         assert back.subject_ids == ["A", "A", "B"]
         assert list(back.visits) == [0, 2, 1]
+
+    def test_write_csv_cells(self, tmp_path):
+        # every command output goes through this one cell rule
+        p = tmp_path / "cells.csv"
+        write_csv(p, ["nan", "inf", "neg", "tenth", "np", "int", "str", "npint"],
+                  [[math.nan, math.inf, -math.inf, 0.1, np.float64(1 / 3), 7,
+                    "a b", np.int64(-2)]])
+        assert p.read_text() == ("nan,inf,neg,tenth,np,int,str,npint\n"
+                                 ",inf,-inf,0.10000000000000001,"
+                                 "0.33333333333333331,7,a b,-2\n")
 
 
 class TestWindows:
@@ -278,12 +290,18 @@ class TestPreprocessor:
         ("k", np.int64(0), "k must be an integer"),
         ("k", np.float64(3.0), "k must be an integer"),
         ("k", np.array([3, 3]), "k must be an integer"),
+        ("std_floor", np.array([1e-8, 1e-8]),
+         "std_floor must be a finite number >= 0"),
+        ("std_floor", np.float64(np.nan),
+         "std_floor must be a finite number >= 0"),
     ], ids=["mean-one-value", "std-one-value", "mean-nan", "std-inf",
             "std-zero", "train-std-no-rows", "train-std-narrow",
-            "train-std-1d", "k-zero", "k-float", "k-array"])
+            "train-std-1d", "k-zero", "k-float", "k-array",
+            "std-floor-two-values", "std-floor-nan"])
     def test_load_refuses_unusable_state(self, tmp_path, key, value, match):
         # a one-value mean would broadcast over all columns and k = 0 would
-        # impute every missing cell as 0; neither may load
+        # impute every missing cell as 0; neither may load. A two-value
+        # std_floor raised TypeError, and a NaN one did not name the file
         state = self._saved_state(tmp_path)
         state[key] = value
         bad = tmp_path / "bad.npz"

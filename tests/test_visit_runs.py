@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import json
+from dataclasses import asdict
 from unittest import mock
 
 import numpy as np
@@ -355,11 +356,11 @@ def latent_model(window: int, setup: str, demo: bool) -> NkmModel:
 def assert_latent_pass_matches_forward(model, table, tau_max, same):
     rows = visit_runs(table, model.arch.window)[0]
     try:
-        want = json.dumps(forward_verify_bound(model, table, tau_max).to_dict())
+        want = json.dumps(asdict(forward_verify_bound(model, table, tau_max)))
     except ValueError as exc:
         want = str(exc)
     try:
-        got = json.dumps(verify_bound(model, table, tau_max=tau_max).to_dict())
+        got = json.dumps(asdict(verify_bound(model, table, tau_max=tau_max)))
     except ValueError as exc:
         got = str(exc)
     same(got, want)
