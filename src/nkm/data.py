@@ -433,12 +433,15 @@ class Preprocessor:
                 (floor.shape == () and floor.dtype.kind in "iuf"
                  and np.isfinite(floor) and floor >= 0,
                  "std_floor must be a finite number >= 0"),
-                (mean.shape == (nf,) and np.all(np.isfinite(mean)),
+                (mean.dtype.kind in "iuf" and mean.shape == (nf,)
+                 and np.all(np.isfinite(mean)),
                  f"mean must be {nf} finite values"),
-                (std.shape == (nf,) and np.all(np.isfinite(std) & (std > 0)),
+                (std.dtype.kind in "iuf" and std.shape == (nf,)
+                 and np.all(np.isfinite(std) & (std > 0)),
                  f"std must be {nf} finite values > 0"),
-                (T.ndim == 2 and T.shape[0] >= 1 and T.shape[1] == nf,
-                 f"train_std must have shape (n >= 1, {nf})"),
+                (T.dtype.kind in "iuf" and T.ndim == 2 and T.shape[0] >= 1
+                 and T.shape[1] == nf,
+                 f"train_std must be numbers of shape (n >= 1, {nf})"),
                 (k.shape == () and k.dtype.kind in "iu" and k >= 1,
                  "k must be an integer >= 1")):
             if not usable:

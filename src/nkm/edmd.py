@@ -117,9 +117,10 @@ def fit_dictionary(X: np.ndarray, cfg: EdmdConfig) -> RbfDictionary:
 def fit_edmd(X_lifted: np.ndarray, Y_lifted: np.ndarray, alpha: float = 0.0,
              return_rank: bool = False):
     """Operator from snapshot matrices with rows psi(x_i), psi(y_i). With
-    return_rank, returns (K, rank): the numerical rank of G from the SVD of
-    its pseudo-inverse, or None when alpha > 0 and G + alpha I is inverted
-    instead. Below the lifted dimension, K is the minimum-norm solution."""
+    return_rank, returns (K, rank): the numerical rank of G, the count of
+    eigenvalues its pseudo-inverse keeps, or None when alpha > 0 and
+    G + alpha I is inverted instead. Below the lifted dimension, K is the
+    minimum-norm solution."""
     X_lifted = np.asarray(X_lifted, dtype=np.float64)
     Y_lifted = np.asarray(Y_lifted, dtype=np.float64)
     if X_lifted.shape != Y_lifted.shape or X_lifted.ndim != 2:

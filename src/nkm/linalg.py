@@ -1,11 +1,19 @@
-"""Dense linear-algebra helpers: spectral-norm estimation, SVD, pseudoinverse.
+"""Dense linear-algebra helpers: spectral-norm estimation, singular-value
+clipping, the pseudoinverse of a Gram matrix.
 
-SVD and pinv call numpy.linalg (LAPACK) with no size cap. The exact top
-singular value comes from the symmetric eigensolver on the smaller Gram
-matrix, which costs a fraction of a full SVD at d_z = 360. Power iteration
-is hand-rolled: a seeded block subspace iteration on K^T K with a
-Rayleigh-Ritz extract, which converges far faster than the single-vector
-recurrence and always estimates from below.
+Every routine calls numpy.linalg (LAPACK) with no size cap, and the
+symmetric eigensolver does the work wherever a Gram matrix does: `pinv`
+inverts the eigenvalues of its symmetric positive semi-definite input
+(EDMD's G = X^T X / m, the training C_zz), and the exact top singular value
+comes from the smaller Gram matrix of the input. Each costs about half a
+full SVD or less. An SVD stays where its factors or its exact digits are
+needed: `clip_singular_values` rescales the singular values, so it needs U
+and V; `analysis.verify_bound`'s `norm_k` is checked bit for bit against
+an SVD reference in the tests, and `EdmdModel.spectral_norm` reads the same
+quantity the same way. Power iteration is hand-rolled: a seeded block
+subspace iteration on K^T K with a Rayleigh-Ritz extract (an SVD of the
+n x 8 block), which converges far faster than the single-vector recurrence
+and always estimates from below.
 """
 from __future__ import annotations
 
@@ -18,7 +26,7 @@ from .tensor import Tensor, _make, _unbroadcast, as_tensor
 
 _BLOCK = 8           # columns of the subspace in power_iteration_norm
 _TAPE_ITERS = 10     # Gram iterations of spectral_norm_differentiable
-_RCOND = 1e-12       # relative singular-value cut of pinv
+_RCOND = 1e-12       # relative eigenvalue cut of pinv
 
 
 def check_matrix(a: np.ndarray, name: str = "matrix", square: bool = False) -> np.ndarray:
@@ -115,18 +123,18 @@ def spectral_norm_differentiable(K: Tensor) -> Tensor:
 
 
 def pinv(A: np.ndarray, return_rank: bool = False):
-    """Moore-Penrose pseudoinverse; singular values <= 1e-12 * sigma_max drop
-    to 0. With return_rank, returns (pinv, rank): the rank is the number of
-    singular values kept, read from the same SVD."""
-    A = check_matrix(A, "A")
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        P, rank = np.zeros((A.shape[1], A.shape[0])), 0
-    else:
-        keep = s > _RCOND * s[0]
-        inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
-        P, rank = (Vt.T * inv) @ U.T, int(np.count_nonzero(keep))
-    return (P, rank) if return_rank else P
+    """Moore-Penrose pseudoinverse of a symmetric positive semi-definite A (a
+    Gram matrix), from one eigensolve: eigenvalues <= 1e-12 * lambda_max drop
+    to 0, and every one does when lambda_max <= 0. With return_rank, returns
+    (pinv, rank): the rank is the number of eigenvalues kept."""
+    A = check_matrix(A, "A", square=True)
+    if not np.array_equal(A, A.T):
+        raise ValueError("A must be symmetric")
+    w, V = np.linalg.eigh(A)
+    keep = w > _RCOND * np.max(w, initial=0.0)
+    V = V[:, keep]
+    P = (V / w[keep]) @ V.T
+    return (P, int(np.count_nonzero(keep))) if return_rank else P
 
 
 def clip_singular_values(K: np.ndarray, smax: float) -> np.ndarray:

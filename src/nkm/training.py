@@ -298,16 +298,14 @@ def train(model: NkmModel, train_windows: Windows, val_windows: Windows,
 # ---- evaluation -----------------------------------------------------------
 
 def _rank_average_ties(v: np.ndarray) -> np.ndarray:
+    """1-based ranks of v, each run of equal values sharing the mean rank of
+    its sorted positions i..j, (i + j) / 2 + 1. Every NaN is its own run."""
     idx = np.argsort(v, kind="stable")
+    counts = np.unique(v[idx], return_counts=True, equal_nan=False)[1]
+    last = np.cumsum(counts) - 1
+    first = last - counts + 1
     ranks = np.empty(v.size, dtype=np.float64)
-    i = 0
-    sv = v[idx]
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[idx[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[idx] = np.repeat((first + last) / 2.0 + 1.0, counts)
     return ranks
 
 

@@ -294,14 +294,21 @@ class TestPreprocessor:
          "std_floor must be a finite number >= 0"),
         ("std_floor", np.float64(np.nan),
          "std_floor must be a finite number >= 0"),
+        ("mean", np.full(schema.N_FEATURES, "0.5"), "mean must be"),
+        ("std", np.full(schema.N_FEATURES, "1.0"), "std must be"),
+        ("train_std", np.full((4, schema.N_FEATURES), "0.5"),
+         "train_std must be numbers"),
     ], ids=["mean-one-value", "std-one-value", "mean-nan", "std-inf",
             "std-zero", "train-std-no-rows", "train-std-narrow",
             "train-std-1d", "k-zero", "k-float", "k-array",
-            "std-floor-two-values", "std-floor-nan"])
+            "std-floor-two-values", "std-floor-nan", "mean-strings",
+            "std-strings", "train-std-strings"])
     def test_load_refuses_unusable_state(self, tmp_path, key, value, match):
         # a one-value mean would broadcast over all columns and k = 0 would
         # impute every missing cell as 0; neither may load. A two-value
-        # std_floor raised TypeError, and a NaN one did not name the file
+        # std_floor raised TypeError, and a NaN one did not name the file. A
+        # string mean or std raised TypeError, and a string train_std loaded
+        # and failed in the first transform that imputed
         state = self._saved_state(tmp_path)
         state[key] = value
         bad = tmp_path / "bad.npz"

@@ -8,6 +8,7 @@ from nkm.data import build_windows, materialize_fold
 from nkm.edmd import (EdmdConfig, EdmdModel, RbfDictionary, fit_dictionary,
                       fit_edmd)
 from nkm.synthetic import SyntheticConfig, generate_synthetic
+from nkm.training import koopman_covariances, koopman_fixed_point
 
 
 def linear_cohort(seed=0, n_subjects=30, visits=8, drift=True):
@@ -149,6 +150,32 @@ class TestOperatorSolve:
         assert model.rank_ >= 1
         assert EdmdModel(EdmdConfig(n_centers=10, alpha=1e-3)).fit(
             fold.table).rank_ is None
+
+    @pytest.mark.parametrize("solve", ["edmd_fit", "koopman_fixed_point"])
+    def test_gram_pinv_runs_one_eigensolve_and_no_svd(self, monkeypatch, solve):
+        # both pseudo-inverses are of a symmetric PSD Gram matrix (EDMD's G,
+        # the latent C_zz), so one symmetric eigensolve replaces the SVD
+        svd, eigh = np.linalg.svd, np.linalg.eigh
+        calls = {"svd": 0, "eigh": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        if solve == "edmd_fit":
+            table, _ = linear_cohort(seed=4, n_subjects=12, visits=5)
+            run = EdmdModel(EdmdConfig(n_centers=10, alpha=0.0)).fit
+            args = (table,)
+        else:
+            z = np.random.default_rng(4).standard_normal((3 * 8, 6))
+            c = np.random.default_rng(5).standard_normal((8, 6))
+            run, args = koopman_fixed_point, (koopman_covariances(z, c),)
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+        monkeypatch.setattr(np.linalg, "eigh", counted("eigh", eigh))
+        run(*args)
+        assert calls == {"svd": 0, "eigh": 1}
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
-"""Spectral-norm estimation, SVD/pinv contracts, projection helpers."""
+"""Spectral-norm estimation, SVD clipping and Gram pinv contracts, projection
+helpers."""
 from __future__ import annotations
 
 import numpy as np
@@ -96,41 +97,63 @@ class TestSvdPinv:
 
     def test_no_dimension_cap(self):
         # realistic sizes (d_z > 512, 500+ RBF centers) must not hit a cap
-        A = np.random.default_rng(0).standard_normal((600, 600))
-        P = LA.pinv(A)
-        assert np.allclose(A @ P @ A, A, atol=1e-8)
+        X = np.random.default_rng(0).standard_normal((1200, 600))
+        G = X.T @ X / 1200
+        assert np.allclose(G @ LA.pinv(G) @ G, G, atol=1e-8)
+        A = X[:600]
         s = np.linalg.svd(A, compute_uv=False)
         Ac = LA.clip_singular_values(A, s[300])
         assert np.linalg.svd(Ac, compute_uv=False)[0] <= s[300] * (1 + 1e-10)
         K = init_koopman(520, 0.01, 0.99, np.random.default_rng(1))
         assert np.linalg.svd(K, compute_uv=False)[0] <= 0.99 + 1e-10
 
+    @staticmethod
+    def gram(shape, seed=2):
+        X = np.random.default_rng(seed).standard_normal(shape)
+        return X.T @ X
+
     def test_pinv_moore_penrose(self):
-        for shape in ((6, 3), (4, 7)):
-            A = np.random.default_rng(2).standard_normal(shape)
-            P = LA.pinv(A)
-            assert P.shape == shape[::-1]
-            assert np.allclose(A @ P @ A, A, atol=1e-10)
-            assert np.allclose(P @ A @ P, P, atol=1e-10)
-            assert np.allclose(A @ P, (A @ P).T, atol=1e-10)
-            assert np.allclose(P @ A, (P @ A).T, atol=1e-10)
+        # G = X^T X of a tall (6, 3) X has full rank 3; of a wide (4, 7) X,
+        # rank 4 of 7
+        for shape, want_rank in (((6, 3), 3), ((4, 7), 4)):
+            G = self.gram(shape)
+            P, rank = LA.pinv(G, return_rank=True)
+            assert P.shape == G.shape and rank == want_rank
+            assert np.allclose(G @ P @ G, G, atol=1e-10)
+            assert np.allclose(P @ G @ P, P, atol=1e-10)
+            assert np.allclose(G @ P, (G @ P).T, atol=1e-10)
+            assert np.allclose(P @ G, (P @ G).T, atol=1e-10)
 
     def test_pinv_rank_deficient(self):
-        # rank-1 matrix: rcond cut must zero the null directions
+        # G = A^T A of a rank-1 (2, 3) A: the cut must zero the null directions
         u = np.array([[1.0], [2.0]])
         v = np.array([[3.0, 0.0, -1.0]])
         A = u @ v
-        P = LA.pinv(A)
-        assert np.allclose(A @ P @ A, A, atol=1e-12)
+        G = A.T @ A
+        P = LA.pinv(G)
+        assert np.allclose(G @ P @ G, G, atol=1e-12)
         assert np.linalg.matrix_rank(P) == 1
-        P2, rank = LA.pinv(A, return_rank=True)
+        P2, rank = LA.pinv(G, return_rank=True)
         assert rank == 1 and np.array_equal(P2, P)
-        assert LA.pinv(np.zeros((3, 2)), return_rank=True)[1] == 0
+        assert LA.pinv(np.zeros((3, 3)), return_rank=True)[1] == 0
 
     def test_pinv_zero_matrix(self):
-        P = LA.pinv(np.zeros((3, 2)))
-        assert P.shape == (2, 3)
-        assert np.all(P == 0)
+        # no eigenvalue above 0: zeros and rank 0
+        for G in (np.zeros((2, 2)), -np.eye(3), np.zeros((0, 0))):
+            P, rank = LA.pinv(G, return_rank=True)
+            assert P.shape == G.shape and rank == 0
+            assert np.all(P == 0)
+
+    @pytest.mark.parametrize("A, match", [
+        (np.zeros((3, 2)), "must be square"),
+        (np.ones((2, 3)), "must be square"),
+        (np.array([[2.0, 1.0], [0.0, 2.0]]), "must be symmetric"),
+        (np.array([[2.0, 1.0], [np.nextafter(1.0, 2.0), 2.0]]), "must be symmetric"),
+        (np.zeros(4), "must be 2-D"),
+    ], ids=["tall", "wide", "triangular", "one-ulp-off", "vector"])
+    def test_pinv_refuses_non_symmetric_input(self, A, match):
+        with pytest.raises(ValueError, match=match):
+            LA.pinv(A)
 
 
 class TestProjections:

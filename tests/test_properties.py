@@ -1,6 +1,6 @@
 """Property tests (hypothesis): batching, subject batches, covariance
-bookkeeping, projection, KNN imputation, CSV round trip, window counts, fold
-disjointness."""
+bookkeeping, projection, the Gram pseudo-inverse, tied ranks, KNN
+imputation, CSV round trip, window counts, fold disjointness."""
 from __future__ import annotations
 
 import functools
@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 from nkm import schema
 from nkm.data import (_BLOCK, Preprocessor, VisitTable, build_windows, load_visits_csv,
                       materialize_fold, subject_kfold, write_visits_csv)
-from nkm.linalg import top_singular_value
+from nkm.linalg import pinv, top_singular_value
 from nkm.model import ABLATION_SETUPS, AblationFlags, ArchConfig, NkmModel
 from nkm.synthetic import SyntheticConfig, generate_synthetic
 from nkm.tensor import no_grad
-from nkm.training import koopman_covariances, subject_batches
+from nkm.training import _rank_average_ties, koopman_covariances, subject_batches
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -182,6 +182,100 @@ def test_top_singular_value_matches_svd(m, n, rank, log_scale, seed):
     want = np.linalg.svd(A, compute_uv=False)[0]
     got = top_singular_value(A)
     assert abs(got - want) <= 1e-13 * want
+
+
+def svd_pinv(G: np.ndarray) -> tuple[np.ndarray, int, np.ndarray]:
+    """(pinv, rank, kept singular values) from a general SVD, with the same
+    relative cut 1e-12 * sigma_max."""
+    U, s, Vt = np.linalg.svd(G)
+    if not s.size or s[0] == 0.0:
+        return np.zeros(G.shape[::-1]), 0, s[:0]
+    keep = s > 1e-12 * s[0]
+    return (Vt[keep].T / s[keep]) @ U[:, keep].T, int(keep.sum()), s[keep]
+
+
+def gram_input(m: int, n_random: int, rank: int, blocks: list[int],
+               constant: bool, log_scale: float, seed: int) -> np.ndarray:
+    """G = X^T X / m for X = [constant column, one-hot blocks, random part],
+    the column layout of an EDMD dictionary. Each one-hot block sums to the
+    constant column, and the random part has rank min(rank, m, n_random)
+    with singular values in [1e-2, 1] times 10^log_scale."""
+    rng = np.random.default_rng(seed)
+    cols = [np.ones((m, 1))] if constant else []
+    cols += [np.eye(size)[rng.integers(0, size, m)] for size in blocks]
+    r = min(rank, m, n_random)
+    Qm = np.linalg.qr(rng.standard_normal((m, m)))[0][:, :r]
+    Qn = np.linalg.qr(rng.standard_normal((n_random, n_random)))[0][:, :r]
+    s = 10.0 ** (log_scale + rng.uniform(-2.0, 0.0, r))
+    cols.append((Qm * s) @ Qn.T)
+    X = np.hstack(cols)
+    return X.T @ X / m
+
+
+# Each residual below is at most _PINV_TOL * cond times the norm it is read
+# against: ||G|| for GPG = G, ||P|| for PGP = P and for P against the SVD
+# reference, 1 for the symmetry of GP and PG. cond = lambda_max / lambda_min
+# of the kept part, since rounding in the products G @ P alone is eps * cond.
+# Over 20,000 draws of these inputs the worst ratio was 4.4e-15.
+_PINV_TOL = 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 30), n_random=st.integers(1, 20), rank=st.integers(0, 20),
+       blocks=st.lists(st.integers(1, 4), max_size=3), constant=st.booleans(),
+       log_scale=st.floats(-1.0, 1.0), seed=SEEDS)
+@example(m=1, n_random=1, rank=1, blocks=[], constant=False, log_scale=0.0,
+         seed=0)                                              # 1 x 1
+@example(m=5, n_random=4, rank=0, blocks=[], constant=False, log_scale=0.0,
+         seed=0)                                              # the zero matrix
+@example(m=30, n_random=10, rank=10, blocks=[3, 4, 2], constant=True,
+         log_scale=0.0, seed=1)                               # EDMD's layout
+@example(m=6, n_random=20, rank=20, blocks=[4], constant=True, log_scale=1.0,
+         seed=2)                                              # m < columns
+def test_gram_pinv_matches_svd_reference(m, n_random, rank, blocks, constant,
+                                         log_scale, seed):
+    G = gram_input(m, n_random, rank, blocks, constant, log_scale, seed)
+    P, got_rank = pinv(G, return_rank=True)
+    want, want_rank, kept = svd_pinv(G)
+    assert got_rank == want_rank
+    assert P.shape == G.shape
+    if not want_rank:
+        assert not np.any(P)
+        return
+    cond = kept[0] / kept[-1]
+    norm_g, norm_p = kept[0], 1.0 / kept[-1]
+    two = functools.partial(np.linalg.norm, ord=2)
+    assert two(G @ P @ G - G) <= _PINV_TOL * cond * norm_g
+    assert two(P @ G @ P - P) <= _PINV_TOL * cond * norm_p
+    assert two(G @ P - (G @ P).T) <= _PINV_TOL * cond
+    assert two(P @ G - (P @ G).T) <= _PINV_TOL * cond
+    assert two(P - want) <= _PINV_TOL * cond * norm_p
+
+
+def rank_average_ties_loop(v: np.ndarray) -> np.ndarray:
+    """Average ranks by one walk over the sorted values: the run of values
+    equal to sv[i] spans sorted positions i..j and shares (i + j) / 2 + 1."""
+    idx = np.argsort(v, kind="stable")
+    ranks = np.empty(v.size, dtype=np.float64)
+    i = 0
+    sv = v[idx]
+    while i < v.size:
+        j = i
+        while j + 1 < v.size and sv[j + 1] == sv[i]:
+            j += 1
+        ranks[idx[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, 3.0, 1e300,
+                                        -np.inf, np.inf, np.nan]),
+                       max_size=60)
+       | st.lists(st.floats(allow_nan=True), max_size=60))
+def test_rank_average_ties_matches_loop(values):
+    v = np.array(values, dtype=np.float64)
+    assert _rank_average_ties(v).tobytes() == rank_average_ties_loop(v).tobytes()
 
 
 @np.errstate(over="ignore", invalid="ignore")
